@@ -4,49 +4,60 @@
 // of link capacity.
 //
 // Regenerates the latency-vs-accepted-traffic curve on an 8x8 mesh of
-// single-lane wormhole routers with credit flow control, plus a buffer-depth
-// ablation showing the "bursts larger than the buffers" regime is what
-// hurts.
-
-// WormholeNetwork is a deprecated shim (superseded by
-// fabric::Fabric::build); this bench stays on it until the shim's removal
-// so the E2 curve keeps its exact historical baseline.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// wormhole routers with credit flow control (fabric::Fabric::build on a
+// kMesh2D topology, src/fabric/worm.*), plus a buffer-depth ablation showing
+// the "bursts larger than the buffers" regime is what hurts, and [Dally90]'s
+// virtual-channel remedy at constant storage.
 
 #include <cstdio>
 #include <functional>
 
 #include "bench_util.hpp"
-#include "net/wormhole.hpp"
+#include "fabric/fabric.hpp"
+#include "net/topology.hpp"
 #include "stats/table.hpp"
 
 using namespace pmsb;
 using namespace pmsb::bench;
-using namespace pmsb::net;
 
 namespace {
 
+constexpr Cycle kWarmup = 5000;
+constexpr Cycle kCycles = 25000;
+
 struct Point {
   double offered;
-  double accepted;
-  double latency;
-  std::uint64_t backlog;
+  double accepted;  ///< Flits / node / cycle after warmup.
+  double latency;   ///< Mean message latency of post-warmup deliveries.
+  std::uint64_t backlog;  ///< Messages not yet fully injected at the end.
 };
 
 Point run_point(double rate, unsigned buffer_flits, unsigned message_flits,
                 std::uint64_t seed, unsigned lanes = 1) {
-  WormholeConfig cfg;
-  cfg.topo = Topology{TopologyKind::kMesh2D, 8, 8};
+  fabric::FabricConfig cfg;
+  cfg.topo = net::Topology{net::TopologyKind::kMesh2D, 8, 8};
+  // One-cycle wires, as in [Dally90]; the credit round trip is 2 * (D + 1).
+  cfg.link_pipe_stages = 1;
   cfg.buffer_flits = buffer_flits;
   cfg.message_flits = message_flits;
-  cfg.injection_rate = rate;
+  cfg.load = rate;
   cfg.lanes = lanes;
   cfg.seed = seed;
-  WormholeNetwork net(cfg);
-  net.run(25000, 5000);
-  add_simulated_units(25000);
-  return Point{rate, net.accepted_throughput(), net.latency().mean(),
-               net.source_backlog_flits()};
+  cfg.threads = 1;  // The SweepRunner already runs points in parallel.
+  auto fab = fabric::Fabric::build(cfg.topo, cfg);
+  fab->run(kWarmup);
+  const fabric::FabricStats warm = fab->stats();
+  fab->run(kCycles - kWarmup);
+  const fabric::FabricStats end = fab->stats();
+  add_simulated_units(kCycles);
+  const std::uint64_t msgs = end.latency.samples() - warm.latency.samples();
+  return Point{rate,
+               static_cast<double>(end.flits_delivered - warm.flits_delivered) /
+                   (static_cast<double>(fab->nodes()) * static_cast<double>(kCycles - kWarmup)),
+               msgs ? static_cast<double>(end.latency.sum() - warm.latency.sum()) /
+                          static_cast<double>(msgs)
+                    : 0.0,
+               end.backlog};
 }
 
 }  // namespace
@@ -75,11 +86,13 @@ int main(int argc, char** argv) {
 
     std::printf(
         "\n8x8 mesh, single-lane wormhole routers, 20-flit messages, 16-flit\n"
-        "input buffers, uniform destinations. Latency is head-injection to\n"
+        "input buffers, uniform destinations. Latency is message arrival to\n"
         "tail-ejection; saturation shows as accepted << offered + exploding\n"
-        "backlog. Paper citation: saturation at ~25%% of link capacity.\n\n");
+        "backlog (messages queued at the sources). Paper citation: saturation\n"
+        "at ~25%% of link capacity.\n\n");
 
-    Table t({"offered (flits/node/cy)", "accepted", "mean latency (cy)", "source backlog"});
+    Table t({"offered (flits/node/cy)", "accepted", "mean latency (cy)",
+             "source backlog (msgs)"});
     double saturation = 0;
     double light_latency = 0;
     std::uint64_t peak_backlog = 0;

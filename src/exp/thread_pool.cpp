@@ -37,6 +37,10 @@ ThreadPool::ThreadPool(unsigned threads, ThreadPoolOptions opts) : opts_(std::mo
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i)
     workers_.emplace_back([this, i] { worker_loop(i); });
+  // Return only once every worker's start hook has run, so placement (and
+  // any other per-thread setup) is in effect before the first submit().
+  std::unique_lock<std::mutex> lk(mu_);
+  idle_cv_.wait(lk, [this, threads] { return started_ == threads; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -66,6 +70,11 @@ void ThreadPool::wait_idle() {
 
 void ThreadPool::worker_loop(unsigned index) {
   if (opts_.on_worker_start) opts_.on_worker_start(index);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    ++started_;
+  }
+  idle_cv_.notify_all();
   for (;;) {
     std::function<void()> task;
     {

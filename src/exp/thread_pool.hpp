@@ -34,7 +34,8 @@ struct ThreadPoolOptions {
 
 class ThreadPool {
  public:
-  /// Spawns exactly `threads` workers (>= 1).
+  /// Spawns exactly `threads` workers (>= 1) and returns once each has run
+  /// its on_worker_start hook.
   explicit ThreadPool(unsigned threads) : ThreadPool(threads, ThreadPoolOptions{}) {}
   ThreadPool(unsigned threads, ThreadPoolOptions opts);
 
@@ -61,7 +62,9 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< Signals workers: work or shutdown.
-  std::condition_variable idle_cv_;  ///< Signals waiters: pool went idle.
+  std::condition_variable idle_cv_;  ///< Signals waiters: pool went idle
+                                     ///< (or, during construction, a worker started).
+  unsigned started_ = 0;             ///< Workers past their start hook.
   unsigned active_ = 0;              ///< Tasks currently executing.
   bool shutdown_ = false;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -40,15 +41,26 @@ const char* to_string(FabricEngine e) {
   return e == FabricEngine::kDataflow ? "dataflow" : "barrier";
 }
 
+bool wormhole_kind(const net::Topology& topo) {
+  // Wormhole switching holds a chain of buffers per message, so it is
+  // deadlock-free only on an acyclic channel-dependency graph. XY routing on
+  // a mesh gives one, and so do feed-forward stages; the wraparound links of
+  // a torus or ring close cycles, so those kinds stay cell fabrics.
+  return topo.multistage() || topo.kind == net::TopologyKind::kMesh2D;
+}
+
 ConfigValidation FabricConfig::check() const {
-  // Multistage (wormhole) fabrics have no per-node switch; their geometry
-  // and transport parameters are validated here instead of node.check().
-  if (topo.multistage()) {
+  // Wormhole fabrics have no per-node switch; their geometry and transport
+  // parameters are validated here instead of node.check().
+  if (wormhole_kind(topo)) {
     ConfigValidation v;
     auto issue = [&v](ConfigIssue::Code c, std::string msg) {
       v.issues.push_back(ConfigIssue{c, std::move(msg)});
     };
-    if (topo.kind == net::TopologyKind::kClos) {
+    if (!topo.multistage()) {
+      if (topo.nodes() < 2)
+        issue(ConfigIssue::Code::kBadTopology, "fabric needs at least two nodes");
+    } else if (topo.kind == net::TopologyKind::kClos) {
       if (topo.radix < 2)
         issue(ConfigIssue::Code::kBadTopology, "a Clos network needs radix >= 2");
       else if (topo.width != topo.radix * topo.radix)
@@ -58,6 +70,10 @@ ConfigValidation FabricConfig::check() const {
       issue(ConfigIssue::Code::kBadTopology,
             "banyan/omega networks need a power-of-two width >= 4");
     }
+    // WormFlit::dest names the endpoint in 16 bits.
+    if (topo.endpoints() > std::numeric_limits<decltype(WormFlit::dest)>::max() + 1u)
+      issue(ConfigIssue::Code::kBadTopology,
+            "wormhole fabrics address at most 65536 endpoints");
     if (lanes < 1 || lanes > 32)
       issue(ConfigIssue::Code::kBadPorts, "wormhole lanes must be in [1, 32]");
     else if (buffer_flits < lanes || buffer_flits % lanes != 0)
@@ -66,7 +82,7 @@ ConfigValidation FabricConfig::check() const {
     if (message_flits < 1)
       issue(ConfigIssue::Code::kBadCellWords, "wormhole messages need >= 1 flit");
     if (link_pipe_stages < 1)
-      issue(ConfigIssue::Code::kBadLinkStages, "inter-stage links need >= 1 register stage");
+      issue(ConfigIssue::Code::kBadLinkStages, "router links need >= 1 register stage");
     if (!(load >= 0.0) || load > 1.0)
       issue(ConfigIssue::Code::kBadLoad, "offered load must be in [0, 1]");
     if (tasks_per_worker < 1)
@@ -274,9 +290,10 @@ std::unique_ptr<Fabric> Fabric::build(const net::Topology& topo, const FabricCon
 
 Fabric::Fabric(const FabricConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
-  worm_ = cfg_.topo.multistage();
+  worm_ = wormhole_kind(cfg_.topo);
   if (!worm_) codec_ = CellCodec{cfg_.node.cell_format(), bits_for(cfg_.topo.nodes())};
-  ports_ = cfg_.topo.required_ports();
+  // A mesh worm router has the endpoint's kLocal port besides its links.
+  ports_ = worm_ && !cfg_.topo.multistage() ? net::kNumPorts : cfg_.topo.required_ports();
   build();
 }
 
@@ -357,8 +374,8 @@ void Fabric::build_worm() {
   for (unsigned v = 0; v < n; ++v)
     wrouters_.push_back(std::make_unique<WormRouter>(&cfg_.topo, v, wp, wdests_.get()));
 
-  // Inter-stage links: a forward flit ring u->v plus a reverse credit ring
-  // v->u per link, identical wiring at every thread count and engine.
+  // Router links: a forward flit ring u->v plus a reverse credit ring v->u
+  // per link, identical wiring at every thread count and engine.
   wdata_.resize(static_cast<std::size_t>(n) * ports_);
   wcredit_.resize(static_cast<std::size_t>(n) * ports_);
   for (unsigned u = 0; u < n; ++u) {
@@ -376,12 +393,14 @@ void Fabric::build_worm() {
     }
   }
 
-  // Endpoints: sources on the first stage's inputs (per-endpoint RNG split
-  // from the seed, like the cell Injectors), sinks on the last stage's
-  // outputs.
+  // Endpoints: sources on the ingress ports (per-endpoint RNG split from the
+  // seed, like the cell Injectors), sinks on the egress ports -- a mesh
+  // node's kLocal port, or a multistage network's first-stage inputs and
+  // last-stage outputs.
   for (unsigned e = 0; e < topo.endpoints(); ++e) {
     const auto [v, q] = topo.ingress_of(e);
     wrouters_[v]->add_source(q, e, Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (e + 1))));
+    if (!topo.multistage()) wrouters_[v]->add_sink(net::kLocal, e);
   }
   for (unsigned el = 0; el < topo.elements_per_stage(); ++el) {
     const unsigned v = topo.node_id(topo.stages() - 1, el);
@@ -565,9 +584,12 @@ void Fabric::build_worm_dataflow(unsigned workers) {
   }
 
   // The dependency graph is bidirectional along every link (credits flow
-  // upstream), so the skew bound is the *undirected* stage distance: at
-  // most 2 * (stages - 1) boundaries between the clocks of any two routers.
-  df_finish_build(workers, 2 * cfg_.topo.stages() + 4);
+  // upstream), so the skew bound is the *undirected* link distance between
+  // two routers: at most 2 * (stages - 1) boundaries on a multistage network
+  // (forward to a common stage and back), the diameter on a mesh.
+  const unsigned span =
+      cfg_.topo.multistage() ? 2 * cfg_.topo.stages() : cfg_.topo.diameter();
+  df_finish_build(workers, span + 4);
 }
 
 void Fabric::df_finish_build(unsigned workers, unsigned frame_ring) {
@@ -1123,8 +1145,9 @@ FabricStats Fabric::stats() const {
     st.mean_latency = st.delivered
                           ? static_cast<double>(lat_sum) / static_cast<double>(st.delivered)
                           : 0.0;
-    // Every endpoint pair crosses all stages() - 1 inter-stage links.
-    if (st.delivered)
+    // Every multistage endpoint pair crosses all stages() - 1 inter-stage
+    // links. Mesh paths vary in length, and the sinks keep no per-hop split.
+    if (st.delivered && cfg_.topo.multistage())
       st.by_hops.push_back(
           FabricStats::HopRow{cfg_.topo.stages() - 1, st.delivered, st.mean_latency});
     const auto accounted = st.backlog + st.delivered;

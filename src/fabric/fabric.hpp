@@ -84,12 +84,16 @@ void set_fabric_engine_override(FabricEngine e);
 
 const char* to_string(FabricEngine e);
 
+/// True when Fabric::build runs `topo` as flit-level wormhole routers (mesh
+/// and multistage kinds) rather than cell switches (torus and ring).
+bool wormhole_kind(const net::Topology& topo);
+
 struct FabricConfig {
   net::Topology topo;
-  /// Per-node switch geometry (direct topologies only; multistage kinds run
-  /// flit-level WormRouters and ignore this). Needs n_ports >=
-  /// topo.required_ports(), word_bits >= 16 and cell_words >= 4 (fabric wire
-  /// format), and a head tag wide enough for a node id.
+  /// Per-node switch geometry (cell fabrics -- torus and ring -- only;
+  /// wormhole kinds run flit-level WormRouters and ignore this). Needs
+  /// n_ports >= topo.required_ports(), word_bits >= 16 and cell_words >= 4
+  /// (fabric wire format), and a head tag wide enough for a node id.
   /// SwitchConfig::for_ports() qualifies.
   SwitchConfig node = SwitchConfig::for_ports(4);
   /// D: register stages on every inter-node link (latency D + 1 cycles).
@@ -132,7 +136,7 @@ struct FabricConfig {
   /// flight recorders.
   Cycle flight_warmup = 0;
 
-  // --- Wormhole transport (multistage topologies only) --------------------
+  // --- Wormhole transport (mesh and multistage topologies only) -----------
   /// Virtual channels (lanes) per router port, 1..32; must divide
   /// buffer_flits.
   unsigned lanes = 1;
@@ -144,9 +148,8 @@ struct FabricConfig {
   /// Lane allocation / switch arbitration policy.
   WormAlloc alloc = WormAlloc::kRoundRobin;
   /// Workload spec (traffic::GeneratorSpec grammar, e.g. "uniform:0.8",
-  /// "hotspot:0.25"). Multistage fabrics honor every destination kind;
-  /// direct (cell) fabrics support "uniform" only. A spec-embedded load
-  /// overrides `load`.
+  /// "hotspot:0.25"). Wormhole fabrics honor every destination kind; cell
+  /// fabrics support "uniform" only. A spec-embedded load overrides `load`.
   std::string traffic = "uniform";
 
   ConfigValidation check() const;
@@ -229,9 +232,10 @@ struct FabricStats {
 class Fabric {
  public:
   /// THE construction path: build a fabric of `topo`'s shape with the given
-  /// configuration (cfg.topo is overridden by `topo`). Direct topologies
-  /// (mesh/torus/ring) get cell-granular PipelinedSwitch nodes; multistage
-  /// topologies (banyan/omega/clos) get flit-level wormhole routers. Throws
+  /// configuration (cfg.topo is overridden by `topo`). The topology kind
+  /// picks the transport (see wormhole_kind): mesh and multistage
+  /// (banyan/omega/clos) topologies get flit-level wormhole routers; torus
+  /// and ring get cell-granular PipelinedSwitch nodes. Throws
   /// std::invalid_argument on an invalid configuration.
   static std::unique_ptr<Fabric> build(const net::Topology& topo, const FabricConfig& cfg);
 
@@ -245,8 +249,9 @@ class Fabric {
   FabricEngine engine() const { return cfg_.engine; }
   Cycle now() const { return cycles_run_; }
   const FabricConfig& config() const { return cfg_; }
-  /// True when this fabric runs flit-level wormhole transport (multistage
-  /// topology); the node_*switch accessors below are cell-fabric-only.
+  /// True when this fabric runs flit-level wormhole transport (mesh or
+  /// multistage topology); the node_*switch accessors below are
+  /// cell-fabric-only.
   bool wormhole() const { return worm_; }
   bool node_is_fast(unsigned i) const {
     PMSB_CHECK(!worm_, "wormhole fabrics have no switch nodes");
@@ -403,9 +408,9 @@ class Fabric {
 
   FabricConfig cfg_;
   CellCodec codec_;
-  unsigned ports_ = 0;    ///< Router ports in use (topology degree).
+  unsigned ports_ = 0;    ///< Router ports in use (degree, + kLocal on a worm mesh).
   unsigned workers_ = 1;  ///< Resolved worker-thread count.
-  bool worm_ = false;     ///< Wormhole transport (multistage topology).
+  bool worm_ = false;     ///< Wormhole transport (wormhole_kind(topo)).
   std::vector<std::unique_ptr<Node>> nodes_;        ///< Cell fabrics only.
   std::vector<std::unique_ptr<Channel>> channels_;  ///< [node * ports_ + out_port]
 
@@ -415,7 +420,7 @@ class Fabric {
   std::vector<std::unique_ptr<WormRouter>> wrouters_;    ///< [node]
   std::vector<std::unique_ptr<WormChannel>> wdata_;      ///< [u * ports_ + out_port]
   std::vector<std::unique_ptr<CreditChannel>> wcredit_;  ///< [v * ports_ + in_port]
-  /// Directed inter-stage links (u, out p) -> (v, in q); drives both the
+  /// Directed router links (u, out p) -> (v, in q); drives both the
   /// ring wiring and the dataflow dependency edges (data u->v, credit v->u).
   struct WormLink {
     unsigned u, p, v, q;

@@ -9,12 +9,14 @@ namespace pmsb::fabric {
 WormRouter::WormRouter(const net::Topology* topo, unsigned node, const WormParams& params,
                        DestPattern* dests)
     : topo_(topo), node_(node), params_(params), dests_(dests) {
-  PMSB_CHECK(topo->multistage(), "WormRouter requires a multistage topology");
   PMSB_CHECK(params.lanes >= 1 && params.lanes <= 32, "worm lanes must be in [1, 32]");
   PMSB_CHECK(params.lane_depth >= 1, "worm lane_depth must be >= 1");
   PMSB_CHECK(params.message_flits >= 1, "worm message_flits must be >= 1");
-  ports_ = topo->required_ports();
-  last_stage_ = topo->stage_of(node) + 1 == topo->stages();
+  direct_ = !topo->multistage();
+  // Direct kinds add the endpoint's own port at index kLocal (a mesh node
+  // is both a router and a terminal); multistage endpoints sit on edge ports.
+  ports_ = direct_ ? net::kNumPorts : topo->required_ports();
+  last_stage_ = !direct_ && topo->stage_of(node) + 1 == topo->stages();
   const std::size_t pl = static_cast<std::size_t>(ports_) * params_.lanes;
   rx_.resize(ports_, nullptr);
   credit_tx_.resize(ports_, nullptr);
@@ -61,7 +63,8 @@ void WormRouter::add_source(unsigned in_port, unsigned endpoint, Rng rng) {
 }
 
 void WormRouter::add_sink(unsigned out_port, unsigned endpoint) {
-  PMSB_CHECK(last_stage_, "worm sinks attach to last-stage outputs only");
+  PMSB_CHECK(direct_ ? out_port == net::kLocal : last_stage_,
+             "worm sinks attach to the local port or last-stage outputs only");
   PMSB_CHECK(out_port < ports_ && tx_[out_port] == nullptr && sinks_[out_port] == nullptr,
              "worm sink conflicts with an existing output");
   auto k = std::make_unique<Sink>();
@@ -159,7 +162,9 @@ void WormRouter::alloc_lane(unsigned out, Cycle t) {
     const auto& q = fifo_[idx];
     if (q.empty() || !q.front().head || in_state_[idx].active) continue;
     const unsigned in = idx / params_.lanes;
-    if (topo_->route_stage(node_, in, q.front().dest) != out) continue;
+    const unsigned want = direct_ ? topo_->route_xy(node_, q.front().dest)
+                                  : topo_->route_stage(node_, in, q.front().dest);
+    if (want != out) continue;
     // Grant a free output lane by the same policy.
     unsigned grant = params_.lanes;
     for (unsigned j = 0; j < params_.lanes; ++j) {
@@ -247,7 +252,7 @@ void WormRouter::deliver(Sink& sink, const WormFlit& f, Cycle t) {
 
 void WormRouter::eval(Cycle t) {
   std::fill(popped_.begin(), popped_.end(), false);
-  // 1. Accept at most one flit per inter-stage input.
+  // 1. Accept at most one flit per link input.
   for (unsigned in = 0; in < ports_; ++in) {
     if (rx_[in] == nullptr) continue;
     const WormFlit& f = rx_[in]->read(t);
@@ -266,7 +271,7 @@ void WormRouter::eval(Cycle t) {
       if (auditor_ != nullptr) auditor_->on_credit(out, l, ol.credits);
     }
   }
-  // 3. Inject (first stage only): arrivals plus one streamed flit per source.
+  // 3. Inject (ingress routers only): arrivals plus one streamed flit per source.
   for (unsigned in = 0; in < ports_; ++in)
     if (sources_[in] != nullptr) source_step(*sources_[in], t);
   // 4. Per output: one VC allocation, then one switch grant; the tx ring is
@@ -308,6 +313,7 @@ Cycle WormRouter::next_wake(Cycle) const {
 }
 
 std::string WormRouter::name() const {
+  if (direct_) return "worm_router_n" + std::to_string(node_);
   return "worm_router_s" + std::to_string(topo_->stage_of(node_)) + "e" +
          std::to_string(topo_->element_of(node_));
 }

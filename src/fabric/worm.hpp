@@ -1,16 +1,16 @@
-// Flit-level wormhole transport for the multistage fabrics (banyan / omega /
-// Clos): one WormRouter per switching element, connected by the same channel
-// rings the cell fabrics use -- a Ring<WormFlit> per inter-stage link in the
-// forward direction and a Ring<CreditPulse> per link in the *reverse*
-// direction.
+// Flit-level wormhole transport for the 2D mesh and the multistage fabrics
+// (banyan / omega / Clos): one WormRouter per mesh node or switching
+// element, connected by the same channel rings the cell fabrics use -- a
+// Ring<WormFlit> per link in the forward direction and a Ring<CreditPulse>
+// per link in the *reverse* direction.
 //
-// Transport model (the classic virtual-channel wormhole router [Dally90],
-// specialised to a feed-forward multistage network):
+// Transport model (the classic virtual-channel wormhole router [Dally90]):
 //
 //  * A message of `message_flits` flits streams head -> body -> tail. Only
-//    the head carries routing state (the destination endpoint); every stage
-//    computes its output with net::Topology::route_stage -- a single
-//    destination-digit test, no tables.
+//    the head carries routing state (the destination endpoint); a router
+//    computes its output with a table-free rule: net::Topology::route_xy
+//    (dimension order, kLocal at the destination) on a mesh, route_stage (a
+//    single destination-digit test) on a multistage network.
 //  * Each input port buffers flits in `lanes` virtual-channel FIFOs of
 //    `lane_depth` flits each. A lane holds flits of at most one message at a
 //    time from head to tail (per-lane contiguity), so a blocked message
@@ -28,18 +28,19 @@
 //    is 2 * (delay + 1) cycles, so full-throughput streaming on one lane
 //    needs lane_depth >= 2 * (delay + 1) -- worm fabrics default to
 //    link_pipe_stages = 1 for that reason.
-//  * The network is feed-forward (stage s only ever sends to stage s + 1),
-//    so the channel-dependency graph is acyclic and wormhole deadlock cannot
-//    arise; lanes here buy throughput under head-of-line blocking, not
-//    deadlock freedom.
+//  * The channel-dependency graph is acyclic, so wormhole deadlock cannot
+//    arise: a multistage network is feed-forward (stage s only ever sends
+//    to stage s + 1), and XY routing on a mesh never turns from Y back to X.
+//    Lanes buy throughput under head-of-line blocking, not deadlock freedom.
 //
-// First-stage inputs own a Source (Bernoulli message arrivals at
+// Endpoints sit on the extra kLocal port of every mesh node, or on the
+// first-stage inputs / last-stage outputs of a multistage network. Each
+// ingress owns a Source (Bernoulli message arrivals at
 // `messages_per_cycle`, destination from a shared traffic::DestPattern,
 // backlog queued losslessly). Injection is per lane, as in [Dally90]: the
 // source streams one active message per lane and interleaves their flits
 // round-robin at the 1-flit/cycle link rate, so a stalled message blocks
-// only its own lane -- never the source. Last-stage outputs own a Sink
-// (per-lane
+// only its own lane -- never the source. Each egress owns a Sink (per-lane
 // reassembly, end-to-end payload verification, an order-sensitive delivery
 // digest and an HDR latency histogram). Everything a router touches is
 // either private or a single-writer ring, so the barrier and dataflow
@@ -64,7 +65,7 @@
 
 namespace pmsb::fabric {
 
-/// One flit on an inter-stage link. `lane` is the virtual channel the flit
+/// One flit on a link. `lane` is the virtual channel the flit
 /// occupies on *this* link (rewritten per hop); `dest` is the destination
 /// endpoint; `msg`/`seq` identify the flit within its message; `created` is
 /// the message's arrival cycle at the source (for end-to-end latency).
@@ -112,20 +113,22 @@ struct WormParams {
   WormAlloc alloc = WormAlloc::kRoundRobin;
 };
 
-/// One switching element of a multistage network (see file comment).
+/// One mesh node or multistage switching element (see file comment).
 class WormRouter : public Component {
  public:
   WormRouter(const net::Topology* topo, unsigned node, const WormParams& params,
              DestPattern* dests);
 
   // --- Wiring (fabric build time) ----------------------------------------
-  /// Inter-stage input: flits arrive on `rx`, credits return on `credit_tx`.
+  /// Link input: flits arrive on `rx`, credits return on `credit_tx`.
   void connect_in(unsigned in_port, const WormChannel* rx, CreditChannel* credit_tx);
-  /// Inter-stage output: flits leave on `tx`, credits arrive on `credit_rx`.
+  /// Link output: flits leave on `tx`, credits arrive on `credit_rx`.
   void connect_out(unsigned out_port, WormChannel* tx, const CreditChannel* credit_rx);
-  /// First-stage only: endpoint `endpoint` injects into `in_port`.
+  /// Ingress (kLocal on a mesh, a first-stage input otherwise): endpoint
+  /// `endpoint` injects into `in_port`.
   void add_source(unsigned in_port, unsigned endpoint, Rng rng);
-  /// Last-stage only: output `out_port` delivers to endpoint `endpoint`.
+  /// Egress (kLocal on a mesh, a last-stage output otherwise): output
+  /// `out_port` delivers to endpoint `endpoint`.
   void add_sink(unsigned out_port, unsigned endpoint);
 
   void eval(Cycle t) override;
@@ -157,7 +160,7 @@ class WormRouter : public Component {
   SourceStats source_stats(unsigned in_port) const;
   SinkStats sink_stats(unsigned out_port) const;
 
-  /// Flits relayed onto inter-stage links (the telemetry work measure).
+  /// Flits relayed onto router-to-router links (the telemetry work measure).
   std::uint64_t flits_forwarded() const { return flits_forwarded_; }
   /// Flits currently buffered across all lane FIFOs.
   std::uint64_t flits_held() const;
@@ -245,6 +248,7 @@ class WormRouter : public Component {
   WormParams params_;
   DestPattern* dests_;
   unsigned ports_;
+  bool direct_;      ///< Direct kind (mesh): endpoint on port kLocal.
   bool last_stage_;
 
   std::vector<const WormChannel*> rx_;      ///< [in_port], null at ingress.
@@ -273,7 +277,7 @@ class WormRouter : public Component {
 
   std::uint64_t flits_in_total_ = 0;   ///< Accepted off links + injected.
   std::uint64_t flits_out_total_ = 0;  ///< Forwarded + delivered.
-  std::uint64_t flits_forwarded_ = 0;  ///< Forwarded onto inter-stage links.
+  std::uint64_t flits_forwarded_ = 0;  ///< Forwarded onto router-to-router links.
 
   std::unique_ptr<check::WormAuditor> auditor_;  ///< Non-null under PMSB_CHECK=1.
 };

@@ -111,8 +111,8 @@ int Topology::neighbor(unsigned node, unsigned out_port) const {
 }
 
 unsigned Topology::peer_in_port(unsigned node, unsigned out_port) const {
-  PMSB_CHECK(multistage(), "peer_in_port is for multistage kinds (use opposite())");
-  PMSB_CHECK(neighbor(node, out_port) >= 0, "last-stage outputs face endpoints");
+  PMSB_CHECK(neighbor(node, out_port) >= 0, "no link behind this output port");
+  if (!multistage()) return opposite(static_cast<Port>(out_port));
   const unsigned s = stage_of(node);
   const unsigned e = element_of(node);
   switch (kind) {
@@ -136,7 +136,8 @@ unsigned Topology::peer_in_port(unsigned node, unsigned out_port) const {
 }
 
 std::pair<unsigned, unsigned> Topology::ingress_of(unsigned endpoint) const {
-  PMSB_CHECK(multistage() && endpoint < endpoints(), "ingress_of: bad endpoint");
+  PMSB_CHECK(endpoint < endpoints(), "ingress_of: bad endpoint");
+  if (!multistage()) return {endpoint, kLocal};
   switch (kind) {
     case TopologyKind::kBanyan: {
       // Endpoint i is stage-0 line i: element remove_bit(i, n-1), port = MSB.

@@ -91,12 +91,13 @@ struct Topology {
   int neighbor(unsigned node, Port port) const;
   int neighbor(unsigned node, unsigned out_port) const;
 
-  /// Multistage: the input port on neighbor(node, out_port) that this link
-  /// drives (the analogue of opposite() for stage wiring).
+  /// The input port on neighbor(node, out_port) that this link drives:
+  /// opposite(out_port) on direct kinds, the stage wiring's input on
+  /// multistage kinds.
   unsigned peer_in_port(unsigned node, unsigned out_port) const;
 
-  /// Multistage ingress: the (first-stage node, input port) endpoint `e`
-  /// injects into.
+  /// The (node, input port) endpoint `e` injects into: (e, kLocal) on
+  /// direct kinds, a first-stage input on multistage kinds.
   std::pair<unsigned, unsigned> ingress_of(unsigned endpoint) const;
 
   /// Multistage egress: the endpoint behind output `out_port` of last-stage

@@ -36,7 +36,7 @@ std::unique_ptr<fabric::Fabric> make_fabric(const fabric::FabricConfig& cfg) {
 }
 
 // ---------------------------------------------------------------------------
-// EventHub: ordering, RAII, and the deprecated shim.
+// EventHub: ordering, RAII, and concurrent subscribers.
 
 TEST(EventHub, FanOutInSubscriptionOrder) {
   EventHub hub;
@@ -224,6 +224,59 @@ TEST(FabricConfigCheck, RejectsBadGeometry) {
   cfg.topo = net::Topology{net::TopologyKind::kRing, 8, 2};
   EXPECT_TRUE(cfg.check().has(ConfigIssue::Code::kBadTopology));
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+/// A mesh runs wormhole transport, so check() applies the worm parameter
+/// rules to it and ignores the (cell) node geometry.
+TEST(FabricConfigCheck, MeshWormholeParameters) {
+  fabric::FabricConfig cfg;
+  cfg.topo = net::Topology{net::TopologyKind::kMesh2D, 4, 4};
+  cfg.node.n_ports = 1;  // Irrelevant to a worm fabric.
+  EXPECT_TRUE(fabric::wormhole_kind(cfg.topo));
+  EXPECT_TRUE(cfg.check().ok()) << cfg.check().summary();
+
+  fabric::FabricConfig bad = cfg;
+  bad.lanes = 0;
+  EXPECT_TRUE(bad.check().has(ConfigIssue::Code::kBadPorts));
+  bad.lanes = 33;
+  EXPECT_TRUE(bad.check().has(ConfigIssue::Code::kBadPorts));
+  bad = cfg;
+  bad.lanes = 3;  // Does not divide buffer_flits = 16.
+  EXPECT_TRUE(bad.check().has(ConfigIssue::Code::kBadCapacity));
+  bad = cfg;
+  bad.message_flits = 0;
+  EXPECT_TRUE(bad.check().has(ConfigIssue::Code::kBadCellWords));
+  bad = cfg;
+  bad.link_pipe_stages = 0;
+  EXPECT_TRUE(bad.check().has(ConfigIssue::Code::kBadLinkStages));
+  bad = cfg;
+  bad.topo = net::Topology{net::TopologyKind::kMesh2D, 1, 1};
+  EXPECT_TRUE(bad.check().has(ConfigIssue::Code::kBadTopology));
+  bad = cfg;
+  bad.fast_node = [](unsigned) { return true; };
+  EXPECT_TRUE(bad.check().has(ConfigIssue::Code::kBadTopology));
+  bad = cfg;
+  bad.flight_recorder = true;
+  EXPECT_TRUE(bad.check().has(ConfigIssue::Code::kBadTopology));
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+
+  // Torus and ring keep the cell transport (wraparound links would close
+  // a channel-dependency cycle under wormhole switching).
+  EXPECT_FALSE(fabric::wormhole_kind(net::Topology{net::TopologyKind::kTorus2D, 4, 4}));
+  EXPECT_FALSE(fabric::wormhole_kind(net::Topology{net::TopologyKind::kRing, 8, 1}));
+}
+
+/// WormFlit::dest is 16 bits: no wormhole fabric may have more endpoints.
+TEST(FabricConfigCheck, WormholeEndpointLimit) {
+  fabric::FabricConfig cfg;
+  cfg.topo = net::Topology{net::TopologyKind::kBanyan, 1u << 16, 1};
+  EXPECT_FALSE(cfg.check().has(ConfigIssue::Code::kBadTopology));
+  cfg.topo = net::Topology{net::TopologyKind::kBanyan, 1u << 17, 1};
+  EXPECT_TRUE(cfg.check().has(ConfigIssue::Code::kBadTopology));
+  cfg.topo = net::Topology{net::TopologyKind::kMesh2D, 256, 256};
+  EXPECT_FALSE(cfg.check().has(ConfigIssue::Code::kBadTopology));
+  cfg.topo = net::Topology{net::TopologyKind::kMesh2D, 256, 257};
+  EXPECT_TRUE(cfg.check().has(ConfigIssue::Code::kBadTopology));
 }
 
 TEST(Fabric, DeliversAndConserves) {
@@ -855,10 +908,16 @@ TEST(FabricDataflow, BarrierSchedulerStatsShape) {
 // Wormhole fabrics: the same determinism contract at flit granularity --
 // thread counts x engines x lane counts, run splits, and idle skipping.
 
-fabric::FabricConfig worm_banyan(fabric::FabricEngine engine, unsigned threads,
-                                 unsigned lanes, const char* traffic = "uniform:0.6") {
+/// The worm topologies of the determinism matrix: a multistage network and
+/// a direct one.
+const net::Topology kWormTopos[] = {net::Topology{net::TopologyKind::kBanyan, 16, 1},
+                                    net::Topology{net::TopologyKind::kMesh2D, 4, 4}};
+
+fabric::FabricConfig worm_fabric(const net::Topology& topo, fabric::FabricEngine engine,
+                                 unsigned threads, unsigned lanes,
+                                 const char* traffic = "uniform:0.6") {
   fabric::FabricConfig cfg;
-  cfg.topo = net::Topology{net::TopologyKind::kBanyan, 16, 1};
+  cfg.topo = topo;
   cfg.link_pipe_stages = 1;
   cfg.seed = 11;
   cfg.engine = engine;
@@ -879,51 +938,61 @@ void expect_same_worm_stats(const fabric::FabricStats& a, const fabric::FabricSt
 }
 
 TEST(WormDeterminism, ThreadCountsTimesEnginesTimesLanes) {
-  for (const unsigned lanes : {1u, 4u}) {
-    const auto ref = make_fabric(worm_banyan(fabric::FabricEngine::kBarrier, 1, lanes));
-    ref->run(3000);
-    const fabric::FabricStats want = ref->stats();
-    ASSERT_GT(want.delivered, 0u);
-    ASSERT_EQ(want.payload_errors, 0u);
-    for (const auto engine :
-         {fabric::FabricEngine::kBarrier, fabric::FabricEngine::kDataflow}) {
-      for (const unsigned threads : {1u, 2u, 4u}) {
-        const auto fab = make_fabric(worm_banyan(engine, threads, lanes));
-        fab->run(3000);
-        expect_same_worm_stats(want, fab->stats());
+  for (const net::Topology& topo : kWormTopos) {
+    SCOPED_TRACE(topo.describe());
+    for (const unsigned lanes : {1u, 4u}) {
+      const auto ref =
+          make_fabric(worm_fabric(topo, fabric::FabricEngine::kBarrier, 1, lanes));
+      ref->run(3000);
+      const fabric::FabricStats want = ref->stats();
+      ASSERT_GT(want.delivered, 0u);
+      ASSERT_EQ(want.payload_errors, 0u);
+      for (const auto engine :
+           {fabric::FabricEngine::kBarrier, fabric::FabricEngine::kDataflow}) {
+        for (const unsigned threads : {1u, 2u, 4u}) {
+          const auto fab = make_fabric(worm_fabric(topo, engine, threads, lanes));
+          fab->run(3000);
+          expect_same_worm_stats(want, fab->stats());
+        }
       }
     }
   }
 }
 
 TEST(WormDeterminism, SplitRunMatchesSingleRun) {
-  const auto whole = make_fabric(worm_banyan(fabric::FabricEngine::kDataflow, 4, 2));
-  const auto split = make_fabric(worm_banyan(fabric::FabricEngine::kDataflow, 4, 2));
-  whole->run(2400);
-  split->run(900);
-  split->run(137);  // Deliberately off any lookahead grid.
-  split->run(1363);
-  EXPECT_EQ(whole->now(), split->now());
-  expect_same_worm_stats(whole->stats(), split->stats());
+  for (const net::Topology& topo : kWormTopos) {
+    SCOPED_TRACE(topo.describe());
+    const auto whole = make_fabric(worm_fabric(topo, fabric::FabricEngine::kDataflow, 4, 2));
+    const auto split = make_fabric(worm_fabric(topo, fabric::FabricEngine::kDataflow, 4, 2));
+    whole->run(2400);
+    split->run(900);
+    split->run(137);  // Deliberately off any lookahead grid.
+    split->run(1363);
+    EXPECT_EQ(whole->now(), split->now());
+    expect_same_worm_stats(whole->stats(), split->stats());
+  }
 }
 
 /// Idle skipping must be invisible at flit granularity too: a sparse worm
 /// fabric (low load, long idle stretches) run with skipping forced on
 /// reproduces the stepped run bit for bit, on both engines.
 TEST(WormDeterminism, IdleSkipEquivalentOnBothEngines) {
-  for (const auto engine :
-       {fabric::FabricEngine::kBarrier, fabric::FabricEngine::kDataflow}) {
-    fabric::FabricConfig stepped_cfg = worm_banyan(engine, 2, 2, "uniform:0.002");
-    stepped_cfg.idle_skip = 0;
-    fabric::FabricConfig skipping_cfg = worm_banyan(engine, 2, 2, "uniform:0.002");
-    skipping_cfg.idle_skip = 1;
-    const auto stepped = make_fabric(stepped_cfg);
-    const auto skipping = make_fabric(skipping_cfg);
-    stepped->run(30000);
-    skipping->run(30000);
-    EXPECT_GT(stepped->stats().delivered, 0u);
-    expect_same_worm_stats(stepped->stats(), skipping->stats());
-    EXPECT_GT(skipping->rounds_skipped(), 0u);  // Skipping actually engaged.
+  for (const net::Topology& topo : kWormTopos) {
+    for (const auto engine :
+         {fabric::FabricEngine::kBarrier, fabric::FabricEngine::kDataflow}) {
+      SCOPED_TRACE(topo.describe() + " " + fabric::to_string(engine));
+      fabric::FabricConfig stepped_cfg = worm_fabric(topo, engine, 2, 2, "uniform:0.002");
+      stepped_cfg.idle_skip = 0;
+      fabric::FabricConfig skipping_cfg = worm_fabric(topo, engine, 2, 2, "uniform:0.002");
+      skipping_cfg.idle_skip = 1;
+      const auto stepped = make_fabric(stepped_cfg);
+      const auto skipping = make_fabric(skipping_cfg);
+      stepped->run(30000);
+      skipping->run(30000);
+      EXPECT_GT(stepped->stats().delivered, 0u);
+      expect_same_worm_stats(stepped->stats(), skipping->stats());
+      EXPECT_GT(skipping->rounds_skipped(), 0u);  // Skipping actually engaged.
+    }
   }
 }
 
@@ -935,8 +1004,8 @@ TEST(WormDeterminism, MoreLanesCarryMoreUnderTreeSaturation) {
   std::uint64_t flits_by_lanes[2] = {};
   const unsigned lane_opts[2] = {1u, 4u};
   for (int i = 0; i < 2; ++i) {
-    const auto fab = make_fabric(worm_banyan(fabric::FabricEngine::kBarrier, 1,
-                                             lane_opts[i], "hotsenders:0.25,0.95"));
+    const auto fab = make_fabric(worm_fabric(kWormTopos[0], fabric::FabricEngine::kBarrier,
+                                             1, lane_opts[i], "hotsenders:0.25,0.95"));
     fab->run(6000);
     flits_by_lanes[i] = fab->stats().flits_delivered;
   }

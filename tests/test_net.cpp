@@ -1,22 +1,16 @@
-// Tests of the multi-switch wormhole substrate: topology arithmetic, router
-// invariants, delivery, flow control, deadlock freedom, and the qualitative
-// saturation behaviour the paper cites from [Dally90].
-//
-// WormholeNetwork and CreditBridge are deprecated shims (superseded by
-// fabric::Fabric::build); this file intentionally keeps them covered until
-// their removal next release.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// Tests of the direct-network substrate: topology arithmetic, the wormhole
+// router on a mesh (lane ownership, credits, virtual channels), and the
+// qualitative saturation behaviour the paper cites from [Dally90] on mesh
+// fabrics built through fabric::Fabric::build.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
-#include "core/switch.hpp"
-#include "core/testbench.hpp"
-#include "net/credit_bridge.hpp"
-#include "net/node.hpp"
+#include "fabric/fabric.hpp"
+#include "fabric/worm.hpp"
 #include "net/topology.hpp"
-#include "net/wormhole.hpp"
 
 namespace pmsb::net {
 namespace {
@@ -91,6 +85,7 @@ TEST(Topology, OppositePortsPair) {
       const int m = t.neighbor(n, p);
       ASSERT_GE(m, 0);
       EXPECT_EQ(t.neighbor(static_cast<unsigned>(m), opposite(p)), static_cast<int>(n));
+      EXPECT_EQ(t.peer_in_port(n, p), static_cast<unsigned>(opposite(p)));
     }
   }
 }
@@ -142,84 +137,189 @@ TEST(Topology, DescribeAndRequiredPorts) {
   EXPECT_EQ((Topology{TopologyKind::kRing, 6, 1}.required_ports()), 2u);
 }
 
+// ---------------------------------------------------------------------------
+// The wormhole router on a mesh, driven flit by flit through its link rings
+// ---------------------------------------------------------------------------
+
+using fabric::CreditChannel;
+using fabric::CreditPulse;
+using fabric::WormChannel;
+using fabric::WormFlit;
+
+/// The centre router (node 4) of a 3x3 mesh with all four links wired to
+/// rings the test drives directly: flits go in on in[p], come out on out[p],
+/// and the router's credit returns / the test's credit grants travel on
+/// credit_up[p] / credit_down[p]. Every ring is rewritten every cycle, as
+/// the fabric's neighbours do. With `echo` set, the downstream side returns
+/// a credit the cycle after each flit it receives (it never backs up).
+struct CentreRouter {
+  Topology topo{TopologyKind::kMesh2D, 3, 3};
+  std::unique_ptr<fabric::WormRouter> r;
+  std::vector<std::unique_ptr<WormChannel>> in, out;
+  std::vector<std::unique_ptr<CreditChannel>> credit_up, credit_down;
+  std::vector<WormFlit> feed;          ///< [port] flit to put on in[p] this cycle.
+  std::vector<std::uint32_t> grant;    ///< [port] credit mask for out[p] this cycle.
+  std::vector<std::vector<WormFlit>> sent;  ///< [port] flits the router emitted.
+  bool echo = true;
+  Cycle t = 0;
+
+  CentreRouter(unsigned lanes, unsigned lane_depth, unsigned message_flits)
+      : feed(4), grant(4, 0), sent(4) {
+    fabric::WormParams wp;
+    wp.lanes = lanes;
+    wp.lane_depth = lane_depth;
+    wp.message_flits = message_flits;
+    r = std::make_unique<fabric::WormRouter>(&topo, 4, wp, nullptr);
+    for (unsigned p = 0; p < 4; ++p) {
+      in.push_back(std::make_unique<WormChannel>(1));
+      out.push_back(std::make_unique<WormChannel>(1));
+      credit_up.push_back(std::make_unique<CreditChannel>(1));
+      credit_down.push_back(std::make_unique<CreditChannel>(1));
+      r->connect_in(p, in[p].get(), credit_up[p].get());
+      r->connect_out(p, out[p].get(), credit_down[p].get());
+    }
+  }
+
+  static WormFlit flit(std::uint64_t msg, std::uint32_t seq, unsigned len, unsigned dest,
+                       unsigned lane = 0) {
+    WormFlit f;
+    f.valid = true;
+    f.head = seq == 0;
+    f.tail = seq + 1 == len;
+    f.lane = static_cast<std::uint8_t>(lane);
+    f.dest = static_cast<std::uint16_t>(dest);
+    f.seq = seq;
+    f.msg = msg;
+    f.data = fabric::worm_payload(msg, seq);
+    return f;
+  }
+
+  /// Drive this cycle's feeds and grants, run the router, record its output.
+  void step() {
+    for (unsigned p = 0; p < 4; ++p) {
+      in[p]->write(t, feed[p]);
+      credit_down[p]->write(t, CreditPulse{grant[p] != 0, grant[p]});
+      feed[p] = WormFlit{};
+      grant[p] = 0;
+    }
+    ++t;  // What was written at t - 1 is visible now (ring delay 1).
+    r->eval(t);
+    for (unsigned p = 0; p < 4; ++p) {
+      const WormFlit& f = out[p]->read(t + 1);
+      if (!f.valid) continue;
+      sent[p].push_back(f);
+      if (echo) grant[p] |= 1u << f.lane;
+    }
+  }
+};
+
 TEST(Router, OwnershipHoldsUntilTail) {
-  Topology t{TopologyKind::kMesh2D, 2, 1};
-  WormholeRouter r(0, t, 4);
-  // Two-flit message from local port to the east.
-  NetFlit head;
-  head.valid = true;
-  head.head = true;
-  head.dest = 1;
-  NetFlit tail = head;
-  tail.head = false;
-  tail.tail = true;
-  r.accept(kLocal, head);
-  auto all_ok = [](unsigned, unsigned) { return true; };
-  std::vector<WormholeRouter::Move> moves;
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  EXPECT_EQ(moves[kEast].in_port, static_cast<unsigned>(kLocal));
-  (void)r.pop_for(kEast, moves[kEast]);
-  r.accept(kLocal, tail);
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  const NetFlit f = r.pop_for(kEast, moves[kEast]);
-  EXPECT_TRUE(f.tail);
-  EXPECT_TRUE(r.idle());
+  // Two 3-flit messages from the west and the north both want the east
+  // output, which has a single lane: the first head to win holds it until
+  // its tail has passed, so the messages never interleave on the link.
+  CentreRouter c(/*lanes=*/1, /*lane_depth=*/4, /*message_flits=*/3);
+  EXPECT_EQ(c.r->name(), "worm_router_n4");  // Direct kinds have no stages.
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    c.feed[kWest] = CentreRouter::flit(1, k, 3, 5);
+    c.feed[kNorth] = CentreRouter::flit(2, k, 3, 5);
+    c.step();
+  }
+  for (int i = 0; i < 6; ++i) c.step();
+  const std::vector<WormFlit>& east = c.sent[kEast];
+  ASSERT_EQ(east.size(), 6u);
+  for (std::size_t i = 0; i < east.size(); ++i) {
+    EXPECT_EQ(east[i].msg, east[i < 3 ? 0 : 3].msg) << i;
+    EXPECT_EQ(east[i].seq, i % 3) << i;
+  }
+  EXPECT_NE(east[0].msg, east[3].msg);
+  EXPECT_TRUE(c.r->is_quiescent(c.t));
 }
 
 TEST(Router, BlockedByCredits) {
-  Topology t{TopologyKind::kMesh2D, 2, 1};
-  WormholeRouter r(0, t, 4);
-  NetFlit head;
-  head.valid = true;
-  head.head = true;
-  head.dest = 1;
-  r.accept(kLocal, head);
-  std::vector<WormholeRouter::Move> moves;
-  r.decide([](unsigned out, unsigned) { return out != kEast; }, moves);
-  EXPECT_FALSE(moves[kEast].valid);
+  // A 2-flit lane toward the east: without credit returns the router sends
+  // exactly two flits of a 4-flit message and holds the rest.
+  CentreRouter c(/*lanes=*/1, /*lane_depth=*/2, /*message_flits=*/4);
+  c.echo = false;
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    c.feed[kWest] = CentreRouter::flit(1, k, 4, 5);
+    c.step();
+  }
+  for (int i = 0; i < 6; ++i) c.step();
+  EXPECT_EQ(c.sent[kEast].size(), 2u);
+  c.feed[kWest] = CentreRouter::flit(1, 2, 4, 5);
+  c.step();
+  for (int i = 0; i < 4; ++i) c.step();
+  EXPECT_EQ(c.sent[kEast].size(), 2u);
+  EXPECT_EQ(c.r->flits_held(), 1u);
+  c.grant[kEast] = 1u;  // One credit back for lane 0.
+  for (int i = 0; i < 4; ++i) c.step();
+  ASSERT_EQ(c.sent[kEast].size(), 3u);
+  EXPECT_EQ(c.sent[kEast][2].seq, 2u);
+  EXPECT_EQ(c.r->flits_held(), 0u);
 }
 
 TEST(Router, LanesSerializeIndependentMessages) {
   // Two messages from different inputs to the same output: with 2 lanes,
   // both acquire a lane and their flits interleave on the physical link.
-  Topology t{TopologyKind::kMesh2D, 2, 1};
-  WormholeRouter r(0, t, 8, /*lanes=*/2);
-  auto mk = [](bool head, bool tail, std::uint64_t id, std::uint32_t lane) {
-    NetFlit f;
-    f.valid = true;
-    f.head = head;
-    f.tail = tail;
-    f.dest = 1;
-    f.msg_id = id;
-    f.lane = lane;
-    return f;
-  };
-  r.accept(kLocal, mk(true, false, 1, 0));
-  r.accept(kNorth, mk(true, false, 2, 0));
-  auto all_ok = [](unsigned, unsigned) { return true; };
-  std::vector<WormholeRouter::Move> moves;
-  // Cycle 1: one head allocates a lane.
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  const NetFlit f1 = r.pop_for(kEast, moves[kEast]);
-  // Cycle 2: the second head gets the other lane.
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  const NetFlit f2 = r.pop_for(kEast, moves[kEast]);
-  EXPECT_NE(f1.msg_id, f2.msg_id);
-  EXPECT_NE(f1.lane, f2.lane);  // Distinct downstream lanes.
-  // Tails release the lanes.
-  r.accept(kLocal, mk(false, true, 1, 0));
-  r.accept(kNorth, mk(false, true, 2, 0));
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  (void)r.pop_for(kEast, moves[kEast]);
-  r.decide(all_ok, moves);
-  ASSERT_TRUE(moves[kEast].valid);
-  (void)r.pop_for(kEast, moves[kEast]);
-  EXPECT_TRUE(r.idle());
+  CentreRouter c(/*lanes=*/2, /*lane_depth=*/4, /*message_flits=*/2);
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    c.feed[kWest] = CentreRouter::flit(1, k, 2, 5);
+    c.feed[kNorth] = CentreRouter::flit(2, k, 2, 5);
+    c.step();
+  }
+  for (int i = 0; i < 4; ++i) c.step();
+  const std::vector<WormFlit>& east = c.sent[kEast];
+  ASSERT_EQ(east.size(), 4u);
+  EXPECT_TRUE(east[0].head && east[1].head);  // Both heads before either tail.
+  EXPECT_NE(east[0].msg, east[1].msg);
+  EXPECT_NE(east[0].lane, east[1].lane);  // Distinct downstream lanes.
+  for (const WormFlit& f : east)
+    EXPECT_EQ(f.lane, f.msg == east[0].msg ? east[0].lane : east[1].lane);
+  EXPECT_TRUE(c.r->is_quiescent(c.t));  // Tails released both lanes.
+}
+
+// ---------------------------------------------------------------------------
+// Wormhole mesh fabrics: [Dally90]'s saturation behaviour (section 2.1)
+// ---------------------------------------------------------------------------
+
+fabric::FabricConfig mesh(unsigned side, double load, std::uint64_t seed,
+                          unsigned message_flits = 20, unsigned buffer_flits = 16,
+                          unsigned lanes = 1) {
+  fabric::FabricConfig cfg;
+  cfg.topo = Topology{TopologyKind::kMesh2D, side, side};
+  cfg.link_pipe_stages = 1;
+  cfg.load = load;
+  cfg.seed = seed;
+  cfg.threads = 1;
+  cfg.message_flits = message_flits;
+  cfg.buffer_flits = buffer_flits;
+  cfg.lanes = lanes;
+  return cfg;
+}
+
+/// Accepted flits/node/cycle and mean message latency over the cycles after
+/// `warmup`, plus the end-of-run totals.
+struct MeshRun {
+  double accepted = 0;
+  double latency = 0;
+  fabric::FabricStats end;
+};
+
+MeshRun run_mesh(const fabric::FabricConfig& cfg, Cycle cycles, Cycle warmup) {
+  const auto fab = fabric::Fabric::build(cfg.topo, cfg);
+  EXPECT_TRUE(fab->wormhole());
+  fab->run(warmup);
+  const fabric::FabricStats w = fab->stats();
+  fab->run(cycles - warmup);
+  MeshRun r;
+  r.end = fab->stats();
+  r.accepted = static_cast<double>(r.end.flits_delivered - w.flits_delivered) /
+               (static_cast<double>(fab->nodes()) * static_cast<double>(cycles - warmup));
+  const std::uint64_t n = r.end.latency.samples() - w.latency.samples();
+  r.latency = n ? static_cast<double>(r.end.latency.sum() - w.latency.sum()) /
+                      static_cast<double>(n)
+                : 0.0;
+  return r;
 }
 
 TEST(Wormhole, LanesRaiseSaturationAtConstantStorage) {
@@ -227,16 +327,7 @@ TEST(Wormhole, LanesRaiseSaturationAtConstantStorage) {
   // citation: splitting the same 16 flits of buffering into 2 or 4 lanes
   // raises the saturation throughput substantially.
   auto accepted_at = [](unsigned lanes) {
-    WormholeConfig cfg;
-    cfg.topo = Topology{TopologyKind::kMesh2D, 8, 8};
-    cfg.injection_rate = 0.9;
-    cfg.message_flits = 20;
-    cfg.buffer_flits = 16;
-    cfg.lanes = lanes;
-    cfg.seed = 11;
-    WormholeNetwork net(cfg);
-    net.run(25000, 5000);
-    return net.accepted_throughput();
+    return run_mesh(mesh(8, 0.9, 11, 20, 16, lanes), 25000, 5000).accepted;
   };
   const double one = accepted_at(1);
   const double two = accepted_at(2);
@@ -246,32 +337,16 @@ TEST(Wormhole, LanesRaiseSaturationAtConstantStorage) {
 }
 
 TEST(Wormhole, DeliversEverythingAtLightLoad) {
-  WormholeConfig cfg;
-  cfg.topo = Topology{TopologyKind::kMesh2D, 4, 4};
-  cfg.injection_rate = 0.05;
-  cfg.message_flits = 20;
-  cfg.buffer_flits = 16;
-  cfg.seed = 3;
-  WormholeNetwork net(cfg);
-  net.run(20000, 1000);
-  EXPECT_GT(net.messages_delivered(), 0u);
+  const MeshRun r = run_mesh(mesh(4, 0.05, 3), 20000, 1000);
+  EXPECT_GT(r.end.delivered, 0u);
   // Light load: deliveries keep pace with injections (no growing backlog).
-  EXPECT_LT(net.source_backlog_flits(), 200u);
-  EXPECT_NEAR(net.accepted_throughput(), 0.05, 0.01);
+  EXPECT_LT(r.end.backlog, 10u);
+  EXPECT_NEAR(r.accepted, 0.05, 0.01);
 }
 
 TEST(Wormhole, LatencyGrowsWithLoad) {
-  auto mean_latency_at = [](double rate) {
-    WormholeConfig cfg;
-    cfg.topo = Topology{TopologyKind::kMesh2D, 4, 4};
-    cfg.injection_rate = rate;
-    cfg.seed = 4;
-    WormholeNetwork net(cfg);
-    net.run(30000, 3000);
-    return net.latency().mean();
-  };
-  const double lo = mean_latency_at(0.02);
-  const double hi = mean_latency_at(0.15);
+  const double lo = run_mesh(mesh(4, 0.02, 4), 30000, 3000).latency;
+  const double hi = run_mesh(mesh(4, 0.15, 4), 30000, 3000).latency;
   EXPECT_GT(lo, 20.0);  // At least serialization: 20 flits.
   EXPECT_GT(hi, lo);
 }
@@ -279,166 +354,34 @@ TEST(Wormhole, LatencyGrowsWithLoad) {
 TEST(Wormhole, SaturatesWellBelowCapacity) {
   // The [Dally90, 1 lane] phenomenon (section 2.1): with 20-flit messages
   // and 16-flit buffers, accepted throughput plateaus far below link rate.
-  WormholeConfig cfg;
-  cfg.topo = Topology{TopologyKind::kMesh2D, 8, 8};
-  cfg.injection_rate = 0.9;  // Offered far beyond saturation.
-  cfg.message_flits = 20;
-  cfg.buffer_flits = 16;
-  cfg.seed = 5;
-  WormholeNetwork net(cfg);
-  net.run(30000, 5000);
-  const double accepted = net.accepted_throughput();
-  EXPECT_LT(accepted, 0.45);
-  EXPECT_GT(accepted, 0.05);
-  EXPECT_GT(net.source_backlog_flits(), 1000u);  // Clearly saturated.
+  const MeshRun r = run_mesh(mesh(8, 0.9, 5), 30000, 5000);  // Far past saturation.
+  EXPECT_LT(r.accepted, 0.45);
+  EXPECT_GT(r.accepted, 0.05);
+  EXPECT_GT(r.end.backlog, 50u);  // Clearly saturated: >1000 flits queued.
 }
 
 TEST(Wormhole, NoDeadlockUnderSustainedOverload) {
   // XY dimension-order routing on a mesh is deadlock-free even single-lane:
   // deliveries must keep happening arbitrarily late into an overloaded run.
-  WormholeConfig cfg;
-  cfg.topo = Topology{TopologyKind::kMesh2D, 4, 4};
-  cfg.injection_rate = 1.0;
-  cfg.seed = 6;
-  WormholeNetwork net(cfg);
-  net.run(10000);
-  const std::uint64_t early = net.messages_delivered();
-  net.run(10000);
-  EXPECT_GT(net.messages_delivered(), early + 50);
+  const fabric::FabricConfig cfg = mesh(4, 1.0, 6);
+  const auto fab = fabric::Fabric::build(cfg.topo, cfg);
+  fab->run(10000);
+  const std::uint64_t early = fab->stats().delivered;
+  fab->run(10000);
+  EXPECT_GT(fab->stats().delivered, early + 50);
 }
 
 TEST(Wormhole, MessagesArriveIntact) {
-  // Latency of every delivered message is at least hops + flits - 1; the
-  // tail-accounting would fail (and credit checks abort) on flit loss.
-  WormholeConfig cfg;
-  cfg.topo = Topology{TopologyKind::kMesh2D, 4, 4};
-  cfg.injection_rate = 0.08;
-  cfg.message_flits = 10;
-  cfg.seed = 7;
-  WormholeNetwork net(cfg);
-  net.run(20000, 100);
-  ASSERT_GT(net.latency().samples(), 100u);
-  EXPECT_GE(net.latency().min(), cfg.message_flits - 1);
-  EXPECT_EQ(net.flits_delivered() % 1, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// CreditBridge: lossless switch-to-switch links (section 4.2's credit-based
-// flow control, DESIGN.md extensions)
-// ---------------------------------------------------------------------------
-
-struct TwoSwitchChain {
-  // Four saturated sources hammer switch A's output 0, which feeds switch B
-  // through a credit bridge; B forwards to its own output 0. B's output can
-  // be closed ("congested further downstream"), which is when backpressure
-  // must propagate through the credits back into A's shared buffer.
-  pmsb::SwitchConfig cfg_a, cfg_b;
-  std::unique_ptr<pmsb::PipelinedSwitch> a, b;
-  std::unique_ptr<CreditBridge> bridge;
-  pmsb::Engine eng;
-  std::unique_ptr<pmsb::HotspotDest> dests;
-  std::vector<std::unique_ptr<pmsb::CellSource>> sources;
-  std::unique_ptr<pmsb::CellSink> sink;
-  std::uint64_t delivered = 0;
-  bool b_output_open = true;
-  pmsb::Subscription evb_sub;
-
-  explicit TwoSwitchChain(unsigned credits, bool gated) {
-    cfg_a.n_ports = 4;
-    cfg_a.word_bits = 16;
-    cfg_a.cell_words = 8;
-    cfg_a.capacity_segments = 32;
-    cfg_b = cfg_a;
-    cfg_b.capacity_segments = credits;  // Tiny: only credits protect it.
-    a = std::make_unique<pmsb::PipelinedSwitch>(cfg_a);
-    b = std::make_unique<pmsb::PipelinedSwitch>(cfg_b);
-    bridge = std::make_unique<CreditBridge>(&a->out_link(0), &b->in_link(0), credits);
-    if (gated) {
-      a->set_output_gate(
-          [this](unsigned o) { return o != 0 || bridge->has_credit(); });
-    }
-    b->set_output_gate([this](unsigned) { return b_output_open; });
-    pmsb::SwitchEvents evb;
-    evb.on_read_grant = [this](unsigned, unsigned input, pmsb::Cycle, pmsb::Cycle,
-                               pmsb::Cycle, bool) {
-      if (input == 0) bridge->on_downstream_released();
-    };
-    evb_sub = b->events().subscribe(std::move(evb));
-
-    dests = std::make_unique<pmsb::HotspotDest>(4, 0, 1.0);  // Everything to 0.
-    pmsb::Rng seeder(321);
-    for (unsigned i = 0; i < 4; ++i) {
-      sources.push_back(std::make_unique<pmsb::CellSource>(
-          i, &a->in_link(i), cfg_a.cell_format(), dests.get(),
-          pmsb::ArrivalKind::kSaturated, 1.0, seeder.split()));
-      eng.add(sources.back().get());
-    }
-    sink = std::make_unique<pmsb::CellSink>(0, &b->out_link(0), cfg_b.cell_format());
-    sink->set_on_deliver([this](const pmsb::CellSink::Delivery&) { ++delivered; });
-    eng.add(a.get());
-    eng.add(bridge.get());
-    eng.add(b.get());
-    eng.add(sink.get());
-  }
-
-  /// Alternate congestion (B's output closed) with drain windows.
-  void run_with_congestion(int rounds) {
-    for (int r = 0; r < rounds; ++r) {
-      b_output_open = false;
-      eng.run(1000);
-      b_output_open = true;
-      eng.run(200);
-    }
-  }
-};
-
-TEST(CreditBridge, DownstreamIsLosslessUnderCongestion) {
-  TwoSwitchChain chain(/*credits=*/4, /*gated=*/true);
-  chain.run_with_congestion(20);
-  // Switch A absorbs the backpressure in its shared buffer (and drops when
-  // that fills -- its sources are not flow controlled); switch B, protected
-  // by credits, never loses a cell and never exceeds its 4-cell pool.
-  EXPECT_EQ(chain.b->stats().dropped(), 0u);
-  EXPECT_GT(chain.delivered, 100u);
-  EXPECT_GT(chain.a->stats().dropped(), 0u);
-  EXPECT_LE(chain.b->buffer_peak(), 4u);
-}
-
-TEST(CreditBridge, WithoutGateTheFlowControlIsViolated) {
-  TwoSwitchChain chain(/*credits=*/4, /*gated=*/false);
-  // Ungated, the upstream switch keeps streaming while B's output is
-  // closed; the 5th head either overruns B's pool or underflows the credit
-  // counter -- the model refuses to simulate the violation silently.
-  EXPECT_DEATH(chain.run_with_congestion(3), "credit");
-}
-
-TEST(CreditBridge, SustainsFullLinkRateWhenDownstreamKeepsUp) {
-  // Credits large enough that flow control never binds while B drains:
-  // end-to-end throughput equals one cell per L cycles on the link.
-  TwoSwitchChain chain(/*credits=*/8, /*gated=*/true);
-  chain.eng.run(40000);
-  EXPECT_EQ(chain.b->stats().dropped(), 0u);
-  EXPECT_NEAR(static_cast<double>(chain.delivered), 40000.0 / 8, 40);
-}
-
-TEST(CreditCounter, ConsumeRestore) {
-  CreditCounter c(2);
-  c.consume();
-  c.consume();
-  EXPECT_FALSE(c.available());
-  c.restore(2);
-  EXPECT_TRUE(c.available());
-}
-
-TEST(CreditCounterDeath, Overdraw) {
-  CreditCounter c(1);
-  c.consume();
-  EXPECT_DEATH(c.consume(), "credit");
-}
-
-TEST(CreditCounterDeath, OverRestore) {
-  CreditCounter c(2);
-  EXPECT_DEATH(c.restore(2), "overflow");
+  // Every delivered message took at least its serialization time, its
+  // payload verified end to end, and the sinks saw whole messages (a lost
+  // or reordered flit aborts the run in the sink's sequence checks).
+  const fabric::FabricConfig cfg = mesh(4, 0.08, 7, /*message_flits=*/10);
+  const MeshRun r = run_mesh(cfg, 20000, 100);
+  ASSERT_GT(r.end.latency.samples(), 100u);
+  EXPECT_GE(r.end.min_latency, static_cast<Cycle>(cfg.message_flits - 1));
+  EXPECT_EQ(r.end.payload_errors, 0u);
+  EXPECT_GE(r.end.flits_delivered, r.end.delivered * cfg.message_flits);
+  EXPECT_EQ(r.end.injected, r.end.delivered + r.end.backlog + r.end.in_network);
 }
 
 }  // namespace
