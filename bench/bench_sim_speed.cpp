@@ -17,8 +17,13 @@
 #include "bench_util.hpp"
 
 #include "arch/shared_buffer.hpp"
+#include "common/rng.hpp"
+#include "core/arbiter.hpp"
 #include "core/dual_switch.hpp"
 #include "core/fast_switch.hpp"
+#include "core/input_latches.hpp"
+#include "core/output_row.hpp"
+#include "core/pipelined_memory.hpp"
 #include "core/testbench.hpp"
 
 namespace pmsb {
@@ -113,6 +118,89 @@ void BM_DualSwitchCycles(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_DualSwitchCycles);
+
+// --- Datapath layers in isolation (the BM_PipelinedSwitchCycles/16
+// geometry: S = 2n stages, 16-bit words, 32n buffer words per stage) -------
+
+/// InputLatches under saturated arrivals: every link reads and then
+/// latches one word per cycle, cells are S words and aligned, and input i's
+/// write wave starts 1 + i cycles after its head (one protect_for_wave per
+/// cycle for the first n cycles of every cell).
+void BM_InputLatchesCycle(benchmark::State& state) {
+  const unsigned n = static_cast<unsigned>(state.range(0));
+  const unsigned S = 2 * n;
+  InputLatches ir(n, S, 16);
+  Cycle t = 0;
+  Word sum = 0;
+  for (auto _ : state) {
+    for (int k = 0; k < 1000; ++k, ++t) {
+      const unsigned phase = static_cast<unsigned>(t % S);
+      const Cycle a0 = t - phase;
+      if (phase >= 1 && phase <= n) ir.protect_for_wave(phase - 1, t, a0);
+      for (unsigned i = 0; i < n; ++i) {
+        sum += ir.read(i, phase);
+        ir.latch(i, phase, static_cast<Word>((t + i) & 0xFFFF), t);
+      }
+      ir.tick(t);
+    }
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_InputLatchesCycle)->Arg(16);
+
+/// PipelinedMemory saturated with alternating write and read waves (one
+/// initiation every cycle, every stage busy): exec_cycle plus the clock
+/// edge of the memory and the output row.
+void BM_PipelinedMemoryCycle(benchmark::State& state) {
+  const unsigned n = static_cast<unsigned>(state.range(0));
+  const unsigned S = 2 * n;
+  const std::size_t words = 32 * n;
+  PipelinedMemory mem(S, words, 16);
+  InputLatches ir(n, S, 16);
+  OutputRow orow(S, n, 16);
+  Cycle t = 0;
+  for (auto _ : state) {
+    for (int k = 0; k < 1000; ++k, ++t) {
+      StageCtrl c;
+      c.op = t % 2 == 0 ? StageOp::kWrite : StageOp::kRead;
+      c.addr = static_cast<std::uint32_t>((t / 2) % words);
+      c.in_link = static_cast<std::uint16_t>(t % n);
+      c.out_link = static_cast<std::uint16_t>((t / 2) % n);
+      c.head = true;
+      mem.initiate(c);
+      mem.exec_cycle(ir, orow);
+      mem.tick();
+      orow.tick();
+    }
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(mem.bank(S - 1).total_reads());
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_PipelinedMemoryCycle)->Arg(16);
+
+/// RoundRobin::pick over n links with a pseudo-random eligibility mask per
+/// pick (about half the links eligible).
+void BM_RoundRobinPick(benchmark::State& state) {
+  const unsigned n = static_cast<unsigned>(state.range(0));
+  RoundRobin rr(n);
+  Rng rng(5);
+  std::vector<std::uint64_t> masks(1024);
+  for (auto& m : masks) m = rng.next_u64();
+  std::size_t k = 0;
+  long sum = 0;
+  for (auto _ : state) {
+    for (int j = 0; j < 1000; ++j) {
+      const std::uint64_t m = masks[k++ & 1023];
+      sum += rr.pick([m](unsigned i) { return ((m >> i) & 1) != 0; });
+    }
+  }
+  benchmark::DoNotOptimize(sum);
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_RoundRobinPick)->Arg(16);
 
 void BM_SharedBufferSlots(benchmark::State& state) {
   const unsigned n = 16;

@@ -9,19 +9,29 @@
 
 #pragma once
 
-#include <functional>
-
 #include "common/util.hpp"
 
 namespace pmsb {
 
 class RoundRobin {
  public:
-  explicit RoundRobin(unsigned n);
+  explicit RoundRobin(unsigned n) : n_(n) { PMSB_CHECK(n > 0, "round-robin over zero links"); }
 
   /// Scan from the pointer; return the first index for which `eligible`
   /// holds and advance the pointer past it, or -1 if none is eligible.
-  int pick(const std::function<bool(unsigned)>& eligible);
+  /// `eligible` is called once per scanned index, in scan order.
+  template <typename Pred>
+  int pick(Pred&& eligible) {
+    unsigned idx = ptr_;
+    for (unsigned k = 0; k < n_; ++k) {
+      if (eligible(idx)) {
+        ptr_ = idx + 1 == n_ ? 0 : idx + 1;
+        return static_cast<int>(idx);
+      }
+      if (++idx == n_) idx = 0;
+    }
+    return -1;
+  }
 
   unsigned size() const { return n_; }
   unsigned pointer() const { return ptr_; }

@@ -7,26 +7,4 @@ OutputRow::OutputRow(unsigned stages, unsigned n_outputs, unsigned word_bits)
   PMSB_CHECK(stages > 0 && n_outputs > 0, "degenerate output row");
 }
 
-void OutputRow::load(unsigned s, Word data, unsigned out_link, bool sop) {
-  PMSB_CHECK(s < stages_, "output-row stage out of range");
-  PMSB_CHECK(out_link < n_outputs_, "output link out of range");
-  PMSB_CHECK((data & ~mask_) == 0, "output word wider than the link");
-  Slot& slot = staged_[s];
-  PMSB_CHECK(!slot.valid, "output register loaded twice in one cycle");
-  slot.valid = true;
-  slot.out_link = out_link;
-  slot.flit = Flit{true, sop, data};
-}
-
-void OutputRow::drive_links(std::vector<WireLink>& out_links) {
-  PMSB_CHECK(out_links.size() == n_outputs_, "output link count mismatch");
-  for (const auto& slot : staged_) {
-    if (slot.valid) out_links[slot.out_link].drive_next(slot.flit);
-  }
-}
-
-void OutputRow::tick() {
-  for (auto& slot : staged_) slot = Slot{};
-}
-
 }  // namespace pmsb

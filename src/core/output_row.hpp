@@ -11,6 +11,11 @@
 // asserts that sharing discipline (one load per stage per cycle; one
 // register driving a given link per cycle -- the latter via WireLink's
 // single-driver check).
+//
+// The row remembers which stages it loaded this cycle, so driving the links
+// and the clock edge touch only those registers, in load order (ascending
+// stage order for each memory's exec_cycle; registers that drive the same
+// cycle target distinct links, so the order never changes what is driven).
 
 #pragma once
 
@@ -18,6 +23,7 @@
 #include <vector>
 
 #include "common/cell.hpp"
+#include "common/small_vec.hpp"
 #include "common/util.hpp"
 #include "sim/wire.hpp"
 
@@ -29,15 +35,29 @@ class OutputRow {
 
   /// Stage s captures `data` this cycle, to drive `out_link` next cycle.
   /// `sop` marks the head word of a cell (stage 0 of the head segment).
-  void load(unsigned s, Word data, unsigned out_link, bool sop);
+  void load(unsigned s, Word data, unsigned out_link, bool sop) {
+    PMSB_CHECK(s < stages_, "output-row stage out of range");
+    PMSB_CHECK(out_link < n_outputs_, "output link out of range");
+    PMSB_CHECK((data & ~mask_) == 0, "output word wider than the link");
+    Slot& slot = staged_[s];
+    PMSB_CHECK(!slot.valid, "output register loaded twice in one cycle");
+    slot = Slot{true, out_link, Flit{true, sop, data}};
+    loaded_.push_back(s);
+  }
 
   /// Put every value loaded this cycle onto its outgoing link for the next
   /// cycle (the register -> link-driver path). Call once per eval, after the
   /// memory stages executed.
-  void drive_links(std::vector<WireLink>& out_links);
+  void drive_links(std::vector<WireLink>& out_links) {
+    PMSB_CHECK(out_links.size() == n_outputs_, "output link count mismatch");
+    for (const unsigned s : loaded_) out_links[staged_[s].out_link].drive_next(staged_[s].flit);
+  }
 
   /// Clock edge.
-  void tick();
+  void tick() {
+    for (const unsigned s : loaded_) staged_[s].valid = false;
+    loaded_.clear();
+  }
 
  private:
   unsigned stages_;
@@ -49,7 +69,8 @@ class OutputRow {
     unsigned out_link = 0;
     Flit flit;
   };
-  std::vector<Slot> staged_;  ///< Loads performed this cycle.
+  std::vector<Slot> staged_;       ///< Per stage: the load performed this cycle.
+  SmallVec<unsigned, 64> loaded_;  ///< Stages loaded this cycle, in load order.
 };
 
 }  // namespace pmsb

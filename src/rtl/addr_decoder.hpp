@@ -17,10 +17,11 @@
 // (std::uint64_t) in one flat ring buffer. A clock edge rotates the ring
 // head instead of copying stages-1 D-bit vectors, and recovering an address
 // scans D/64 words instead of D bools -- the same datapath semantics
-// (genuine one-hot bits, checked on every read) at a fraction of the
-// simulation cost. This path sits inside the per-cycle kernel loop of every
-// cycle-accurate experiment, so it dominated bench_sim_speed before the
-// block rewrite.
+// (genuine one-hot bits, the whole register checked on every read) at a
+// fraction of the simulation cost. A register is idle exactly when all its
+// lines are low; a running count of non-idle registers makes the clock
+// edge's transfer count O(1). This path sits inside the per-cycle kernel
+// loop of every cycle-accurate experiment.
 
 #pragma once
 
@@ -67,7 +68,10 @@ class AddressPath {
   /// the stage-0 decoder output for the next shift; slots phys(1..stages-1)
   /// are the registers between stages. tick() rotates head_ so that the old
   /// phys(s-1) becomes the new phys(s) without moving any bits.
-  unsigned phys(unsigned s) const { return (head_ + s) % stages_; }
+  unsigned phys(unsigned s) const {
+    const unsigned p = head_ + s;
+    return p < stages_ ? p : p - stages_;
+  }
 
   unsigned stages_;
   std::size_t words_;
@@ -75,8 +79,8 @@ class AddressPath {
 
   std::size_t blocks_;                ///< 64-line blocks per register.
   std::vector<std::uint64_t> bits_;   ///< stages_ x blocks_ ring of word lines.
-  std::vector<std::uint8_t> valid_;   ///< Per-slot valid flag.
   unsigned head_ = 0;
+  unsigned live_ = 0;                 ///< Registers with an active line.
 
   std::uint64_t decode_ops_ = 0;
   std::uint64_t one_hot_transfers_ = 0;

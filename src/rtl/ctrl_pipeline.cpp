@@ -12,41 +12,21 @@ const char* to_string(StageOp op) {
   return "?";
 }
 
-CtrlPipeline::CtrlPipeline(unsigned stages) : stages_(stages), regs_(stages > 0 ? stages - 1 : 0) {
+CtrlPipeline::CtrlPipeline(unsigned stages) : stages_(stages), ring_(stages) {
   PMSB_CHECK(stages >= 1, "control pipeline needs at least one stage");
 }
 
-const StageCtrl& CtrlPipeline::at(unsigned s) const {
-  PMSB_CHECK(s < stages_, "stage index out of range");
-  if (s == 0) return inject_;
-  return regs_[s - 1];
-}
-
-void CtrlPipeline::initiate(const StageCtrl& c) {
-  PMSB_CHECK(!injected_this_cycle_, "two wave initiations in one cycle (M0 is single-ported)");
-  inject_ = c;
-  injected_this_cycle_ = true;
-}
-
 void CtrlPipeline::tick() {
-  for (unsigned s = static_cast<unsigned>(regs_.size()); s-- > 1;) {
-    if (!regs_[s - 1].idle()) ++ctrl_reg_transfers_;
-    regs_[s] = regs_[s - 1];
-  }
-  if (!regs_.empty()) {
-    if (!inject_.idle()) ++ctrl_reg_transfers_;
-    regs_[0] = inject_;
-  }
-  inject_ = StageCtrl{};
+  // Every live entry but the one leaving the last stage crosses a pipeline
+  // register. The retiring last slot becomes stage 0's slot for the next
+  // cycle: the old slot(s-1) is the new slot(s).
+  const unsigned last = slot(stages_ - 1);
+  const bool retiring = !ring_[last].idle();
+  ctrl_reg_transfers_ += live_ - retiring;
+  live_ -= retiring;
+  ring_[last] = StageCtrl{};
+  head_ = last;
   injected_this_cycle_ = false;
-}
-
-bool CtrlPipeline::busy() const {
-  if (!inject_.idle()) return true;
-  for (const auto& r : regs_) {
-    if (!r.idle()) return true;
-  }
-  return false;
 }
 
 }  // namespace pmsb

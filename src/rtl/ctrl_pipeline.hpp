@@ -47,7 +47,11 @@ struct StageCtrl {
   bool idle() const { return op == StageOp::kNone; }
 };
 
-/// The per-stage pipeline registers of figure 5.
+/// The per-stage pipeline registers of figure 5, held as a ring: slot(s) is
+/// the register feeding stage s (slot(0) holds stage 0's control for the
+/// current cycle). A clock edge moves the ring head back by one, so every
+/// register "shifts" in O(1); a running count of non-idle entries makes
+/// busy() and the transfer count O(1) too.
 class CtrlPipeline {
  public:
   explicit CtrlPipeline(unsigned stages);
@@ -55,26 +59,40 @@ class CtrlPipeline {
   unsigned stages() const { return stages_; }
 
   /// Control presented to stage s during the current cycle.
-  const StageCtrl& at(unsigned s) const;
+  const StageCtrl& at(unsigned s) const {
+    PMSB_CHECK(s < stages_, "stage index out of range");
+    return ring_[slot(s)];
+  }
 
   /// Initiate a wave into stage 0 for the current cycle. At most once per
   /// cycle (the arbiter grants at most one wave -- M0 is single-ported).
-  void initiate(const StageCtrl& c);
+  void initiate(const StageCtrl& c) {
+    PMSB_CHECK(!injected_this_cycle_, "two wave initiations in one cycle (M0 is single-ported)");
+    ring_[head_] = c;  // Cleared by the previous tick().
+    if (!c.idle()) ++live_;
+    injected_this_cycle_ = true;
+  }
 
   /// Clock edge: shift the pipeline one stage to the right.
   void tick();
 
   /// True if any stage is executing a non-idle operation this cycle.
-  bool busy() const;
+  bool busy() const { return live_ != 0; }
 
   /// Lifetime count of pipeline-register transfers of non-idle control
   /// (for the figure-7 decoded-address ablation).
   std::uint64_t ctrl_reg_transfers() const { return ctrl_reg_transfers_; }
 
  private:
+  unsigned slot(unsigned s) const {
+    const unsigned p = head_ + s;
+    return p < stages_ ? p : p - stages_;
+  }
+
   unsigned stages_;
-  std::vector<StageCtrl> regs_;  ///< regs_[s-1] feeds stage s (s >= 1).
-  StageCtrl inject_;             ///< Stage 0's control for the current cycle.
+  std::vector<StageCtrl> ring_;  ///< ring_[slot(s)] feeds stage s.
+  unsigned head_ = 0;            ///< slot(0): stage 0's control this cycle.
+  unsigned live_ = 0;            ///< Non-idle entries in the ring.
   bool injected_this_cycle_ = false;
   std::uint64_t ctrl_reg_transfers_ = 0;
 };

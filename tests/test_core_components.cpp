@@ -170,6 +170,61 @@ TEST(InputLatches, BoundaryOverwriteExactlyAtConsumption) {
   EXPECT_EQ(ir.read(0, 2), 0x22u);
 }
 
+TEST(InputLatches, LaterWaveReplacesProtection) {
+  // Tightening: the later wave (t0 = 9, a0 = 4) protects stage 2 until
+  // cycle 11 and expects its arrival commit at 6; the earlier wave alone
+  // (t0 = 3) would have allowed any overwrite from cycle 5 on.
+  InputLatches ir(1, 4, 8);
+  ir.protect_for_wave(0, 3, 0);
+  ir.protect_for_wave(0, 9, 4);
+  ir.latch(0, 2, 0x11, 6);   // The later wave's expected arrival commit.
+  ir.latch(0, 2, 0x22, 11);  // Its consumption cycle.
+  EXPECT_DEATH(ir.latch(0, 2, 0x33, 7), "no-double-buffering");
+
+  // Relaxing: the earlier wave (t0 = 10) would forbid stage 1 until cycle
+  // 11; once the later wave (t0 = 2, a0 = 1) replaces it, cycle 5 is past
+  // the window.
+  InputLatches relaxed(1, 4, 8);
+  relaxed.protect_for_wave(0, 10, 0);
+  relaxed.protect_for_wave(0, 2, 1);
+  relaxed.latch(0, 1, 0x44, 5);
+  relaxed.tick(5);
+  EXPECT_EQ(relaxed.read(0, 1), 0x44u);
+}
+
+TEST(InputLatches, LastLatchInACycleWins) {
+  InputLatches ir(2, 4, 8);
+  ir.latch(1, 3, 0x11, 0);
+  ir.latch(0, 3, 0x5A, 0);
+  ir.latch(1, 3, 0x22, 0);
+  EXPECT_EQ(ir.read(1, 3), 0u);
+  ir.tick(0);
+  EXPECT_EQ(ir.read(1, 3), 0x22u);
+  EXPECT_EQ(ir.read(0, 3), 0x5Au);
+  // Only the loaded latches changed.
+  EXPECT_EQ(ir.read(1, 2), 0u);
+  ir.tick(1);
+  EXPECT_EQ(ir.read(1, 3), 0x22u);
+}
+
+TEST(InputLatchesDeath, OverwriteInsideWindowAtEveryStage) {
+  // Wave initiated at t0 = 10 for the segment whose head was latched at
+  // a0 = 3: stage s is consumed during 10 + s and expects the commit at
+  // 3 + s. An overwrite one cycle before consumption is fatal at every
+  // stage; the expected commit and the consumption-cycle commit are legal.
+  constexpr unsigned kStages = 8;
+  for (unsigned s = 0; s < kStages; ++s) {
+    SCOPED_TRACE(s);
+    InputLatches ir(2, kStages, 8);
+    ir.protect_for_wave(1, 10, 3);
+    const Cycle st = static_cast<Cycle>(s);
+    EXPECT_DEATH(ir.latch(1, s, 0x7F, 9 + st), "no-double-buffering");
+    ir.latch(1, s, 0x01, 3 + st);
+    ir.latch(1, s, 0x02, 10 + st);
+    ir.latch(0, s, 0x03, 9 + st);  // Input 0 is unprotected.
+  }
+}
+
 // --- OutputRow ---------------------------------------------------------------
 
 TEST(OutputRow, DrivesLinkNextCycle) {
@@ -209,6 +264,36 @@ TEST(OutputRow, ClearsAfterTick) {
   row.drive_links(links);
   for (auto& l : links) l.tick();
   EXPECT_EQ(links[0].now().data, 10u);
+}
+
+TEST(OutputRow, PartialLoadCycleDrivesOnlyItsStages) {
+  OutputRow row(4, 3, 8);
+  std::vector<WireLink> links(3);
+  auto clock = [&] {
+    row.drive_links(links);
+    row.tick();
+    for (auto& l : links) l.tick();
+  };
+  row.load(1, 0x11, 0, false);
+  row.load(3, 0x33, 2, false);
+  clock();
+  EXPECT_EQ(links[0].now().data, 0x11u);
+  EXPECT_FALSE(links[1].now().valid);
+  EXPECT_EQ(links[2].now().data, 0x33u);
+  // Next cycle only stage 0 loads: stages 1 and 3 must not drive again.
+  row.load(0, 0x0A, 1, true);
+  clock();
+  EXPECT_FALSE(links[0].now().valid);
+  EXPECT_TRUE(links[1].now().valid);
+  EXPECT_TRUE(links[1].now().sop);
+  EXPECT_EQ(links[1].now().data, 0x0Au);
+  EXPECT_FALSE(links[2].now().valid);
+  // An empty cycle drives nothing; every stage is loadable again.
+  clock();
+  for (auto& l : links) EXPECT_FALSE(l.now().valid);
+  for (unsigned s = 1; s < 4; ++s) row.load(s, s, s - 1, false);
+  clock();
+  for (unsigned o = 0; o < 3; ++o) EXPECT_EQ(links[o].now().data, o + 1);
 }
 
 // --- ReservationTable --------------------------------------------------------
@@ -324,6 +409,30 @@ TEST(RoundRobin, StarvationBound) {
   std::sort(grants_before_zero.begin(), grants_before_zero.end());
   EXPECT_TRUE(std::adjacent_find(grants_before_zero.begin(), grants_before_zero.end()) ==
               grants_before_zero.end());
+}
+
+TEST(RoundRobin, StatefulPredicateSeesScanOrder) {
+  RoundRobin rr(100);
+  ASSERT_EQ(rr.pick([](unsigned i) { return i == 97; }), 97);
+  // Grants on its fifth call: the scan wraps 98, 99, 0, 1, 2.
+  std::vector<unsigned> seen;
+  auto fifth = [&seen, calls = 0](unsigned i) mutable {
+    seen.push_back(i);
+    return ++calls == 5;
+  };
+  EXPECT_EQ(rr.pick(fifth), 2);
+  EXPECT_EQ(seen, (std::vector<unsigned>{98, 99, 0, 1, 2}));
+  EXPECT_EQ(rr.pointer(), 3u);
+  // No index eligible: each of the 100 is asked exactly once, pointer kept.
+  seen.clear();
+  auto none = [&seen](unsigned i) {
+    seen.push_back(i);
+    return false;
+  };
+  EXPECT_EQ(rr.pick(none), -1);
+  ASSERT_EQ(seen.size(), 100u);
+  for (unsigned k = 0; k < 100; ++k) EXPECT_EQ(seen[k], (3 + k) % 100);
+  EXPECT_EQ(rr.pointer(), 3u);
 }
 
 // --- WireLink ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "rtl/addr_decoder.hpp"
 #include "rtl/ctrl_pipeline.hpp"
 #include "rtl/reg.hpp"
@@ -153,6 +154,49 @@ TEST(CtrlPipeline, CountsTransfers) {
   for (int i = 0; i < 4; ++i) p.tick();
   // The wave crossed 3 pipeline registers.
   EXPECT_EQ(p.ctrl_reg_transfers(), 3u);
+}
+
+// The ring-indexed pipeline against a literal shift register of S control
+// bundles: random initiations (idle ones included) over more than 3*S
+// cycles, comparing every stage's control, busy() and the transfer count.
+TEST(CtrlPipeline, RingMatchesShiftRegisterReference) {
+  for (const unsigned stages : {1u, 2u, 8u, 32u}) {
+    SCOPED_TRACE(stages);
+    CtrlPipeline p(stages);
+    std::vector<StageCtrl> ref(stages);  // ref[s] feeds stage s this cycle.
+    std::uint64_t ref_transfers = 0;
+    Rng rng(stages);
+    for (unsigned cycle = 0; cycle < 4 * stages + 8; ++cycle) {
+      if (rng.next_bool(0.7)) {
+        StageCtrl c;
+        c.op = static_cast<StageOp>(rng.next_below(4));
+        c.addr = static_cast<std::uint32_t>(rng.next_below(1024));
+        c.in_link = static_cast<std::uint16_t>(rng.next_below(16));
+        c.out_link = static_cast<std::uint16_t>(rng.next_below(16));
+        c.head = rng.next_bool(0.5);
+        p.initiate(c);
+        ref[0] = c;
+      }
+      bool ref_busy = false;
+      for (unsigned s = 0; s < stages; ++s) {
+        const StageCtrl& got = p.at(s);
+        EXPECT_EQ(got.op, ref[s].op) << "cycle " << cycle << " stage " << s;
+        EXPECT_EQ(got.addr, ref[s].addr) << "cycle " << cycle << " stage " << s;
+        EXPECT_EQ(got.in_link, ref[s].in_link) << "cycle " << cycle << " stage " << s;
+        EXPECT_EQ(got.out_link, ref[s].out_link) << "cycle " << cycle << " stage " << s;
+        EXPECT_EQ(got.head, ref[s].head) << "cycle " << cycle << " stage " << s;
+        ref_busy = ref_busy || !ref[s].idle();
+      }
+      EXPECT_EQ(p.busy(), ref_busy) << "cycle " << cycle;
+      p.tick();
+      for (unsigned s = stages; s-- > 1;) {
+        if (!ref[s - 1].idle()) ++ref_transfers;
+        ref[s] = ref[s - 1];
+      }
+      ref[0] = StageCtrl{};
+      EXPECT_EQ(p.ctrl_reg_transfers(), ref_transfers) << "cycle " << cycle;
+    }
+  }
 }
 
 TEST(OneHot, DecodeEncodeRoundTrip) {

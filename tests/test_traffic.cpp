@@ -275,7 +275,9 @@ TEST(GeneratorSpec, ParsesEveryKindAndRoundTrips) {
     const auto b = GeneratorSpec::parse(a.describe());
     EXPECT_EQ(a.kind, b.kind) << text;
     EXPECT_EQ(a.load.has_value(), b.load.has_value()) << text;
-    if (a.load.has_value()) EXPECT_DOUBLE_EQ(*a.load, *b.load) << text;
+    if (a.load.has_value()) {
+      EXPECT_DOUBLE_EQ(*a.load, *b.load) << text;
+    }
     EXPECT_DOUBLE_EQ(a.hot_fraction, b.hot_fraction) << text;
     EXPECT_EQ(a.fan_in, b.fan_in) << text;
     EXPECT_DOUBLE_EQ(a.mean_burst, b.mean_burst) << text;
