@@ -25,7 +25,7 @@ struct PathRun {
 };
 
 PathRun run_mode(AddrPathMode mode, Cycle cycles) {
-  const SwitchConfig cfg = telegraphos3();
+  const SwitchConfig cfg = SwitchConfig::telegraphos3();
   TrafficSpec spec;
   spec.arrivals = ArrivalKind::kSaturated;
   spec.load = 1.0;

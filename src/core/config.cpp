@@ -129,8 +129,4 @@ SwitchConfig SwitchConfig::for_ports(unsigned n, unsigned segments_per_cell) {
   return c;
 }
 
-SwitchConfig telegraphos1() { return SwitchConfig::telegraphos1(); }
-SwitchConfig telegraphos2() { return SwitchConfig::telegraphos2(); }
-SwitchConfig telegraphos3() { return SwitchConfig::telegraphos3(); }
-
 }  // namespace pmsb

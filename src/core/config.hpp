@@ -115,9 +115,4 @@ struct SwitchConfig {
   static SwitchConfig for_ports(unsigned n, unsigned segments_per_cell = 1);
 };
 
-// Deprecated free-function spellings of the presets (older call sites).
-SwitchConfig telegraphos1();
-SwitchConfig telegraphos2();
-SwitchConfig telegraphos3();
-
 }  // namespace pmsb

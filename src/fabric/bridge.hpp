@@ -184,9 +184,9 @@ class PortBridge : public Component {
   void commit(Cycle t) override;
   /// Quiescent when no cell is being reassembled, staged, queued, or
   /// transmitted and no injection is pending. The rx channel is NOT checked
-  /// here -- the fabric's round planner verifies every Channel::idle_at()
-  /// globally before skipping (engine-local skipping stays disabled inside
-  /// shards, so these hooks are only consulted by that planner).
+  /// here -- the fabric's skip planners verify Channel::idle_at() before
+  /// skipping (engine-local skipping stays disabled in the fabric's node
+  /// engines, so these hooks are only consulted by those planners).
   bool is_quiescent(Cycle) const override {
     return !rx_active_ && !tx_active_ && !staged_valid_ && fifo_.empty() &&
            (injector_ == nullptr || injector_->backlog.empty());

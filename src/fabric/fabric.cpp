@@ -168,24 +168,6 @@ void FabricConfig::validate() const {
 // cannot deadlock.
 
 struct Fabric::Dataflow {
-  struct NodeRt {
-    Engine engine;  ///< This node's private two-phase kernel.
-    std::vector<std::unique_ptr<PortBridge>> bridges;
-    std::vector<std::unique_ptr<TxTap>> taps;
-    /// Cycles fully executed (== engine.now() between chunks). The only
-    /// cross-thread-written word of the node; everything else is owned by
-    /// whichever worker holds the node's task.
-    std::atomic<Cycle> done{0};
-    struct In {
-      unsigned node;    ///< Upstream neighbor (in the dependency graph).
-      ChannelBase* ch;  ///< The ring it writes and this node reads.
-    };
-    std::vector<In> ins;
-    std::vector<unsigned> out_nodes;  ///< Downstream neighbors.
-    std::vector<ChannelBase*> out_chs;
-    Cycle credit = 0;  ///< min over out_chs of capacity() - D.
-  };
-
   class Task : public SchedTask {
    public:
     Fabric* fab = nullptr;
@@ -235,9 +217,35 @@ struct Fabric::Dataflow {
     std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint64_t> backlog{0};
     std::atomic<std::uint64_t> lat_sum{0};
+
+    /// Zero the sums and open the slot for boundary `k` (-1 closes it).
+    void arm(Cycle k, unsigned nodes) {
+      injected.store(0, std::memory_order_relaxed);
+      delivered.store(0, std::memory_order_relaxed);
+      dropped.store(0, std::memory_order_relaxed);
+      backlog.store(0, std::memory_order_relaxed);
+      lat_sum.store(0, std::memory_order_relaxed);
+      remaining.store(nodes, std::memory_order_relaxed);
+      boundary.store(k, std::memory_order_release);
+    }
+    void add(const SampleFrame& c) {
+      injected.fetch_add(c.injected, std::memory_order_relaxed);
+      delivered.fetch_add(c.delivered, std::memory_order_relaxed);
+      dropped.fetch_add(c.dropped, std::memory_order_relaxed);
+      backlog.fetch_add(c.backlog, std::memory_order_relaxed);
+      lat_sum.fetch_add(c.lat_sum, std::memory_order_relaxed);
+    }
+    SampleFrame frame() const {
+      SampleFrame f;
+      f.injected = injected.load(std::memory_order_relaxed);
+      f.delivered = delivered.load(std::memory_order_relaxed);
+      f.dropped = dropped.load(std::memory_order_relaxed);
+      f.backlog = backlog.load(std::memory_order_relaxed);
+      f.lat_sum = lat_sum.load(std::memory_order_relaxed);
+      return f;
+    }
   };
 
-  std::vector<std::unique_ptr<NodeRt>> nodes;
   std::vector<std::unique_ptr<Task>> tasks;
   std::vector<unsigned> task_of;  ///< node -> owning task index.
   std::vector<std::vector<unsigned>> wake_lists;
@@ -299,317 +307,217 @@ Fabric::Fabric(const FabricConfig& cfg) : cfg_(cfg) {
 
 Fabric::~Fabric() = default;
 
-void Fabric::wire_node(unsigned v, Engine& eng,
-                       std::vector<std::unique_ptr<PortBridge>>& bridges,
-                       std::vector<std::unique_ptr<TxTap>>& taps) {
+void Fabric::make_node(unsigned v, double load) {
+  Node& nd = nodes_[v];
+  nd.engine.set_idle_skip(false);
+  if (worm_) {
+    WormParams wp;
+    wp.lanes = cfg_.lanes;
+    wp.lane_depth = cfg_.buffer_flits / cfg_.lanes;
+    wp.message_flits = cfg_.message_flits;
+    wp.messages_per_cycle = load / cfg_.message_flits;
+    wp.alloc = cfg_.alloc;
+    nd.router = std::make_unique<WormRouter>(&cfg_.topo, v, wp, wdests_.get());
+    return;
+  }
+  nd.cell = std::make_unique<Node::Cell>();
+  Node::Cell& c = *nd.cell;
+  if (cfg_.fast_node && cfg_.fast_node(v)) {
+    c.fast = std::make_unique<FastSwitch>(cfg_.node);
+  } else {
+    c.sw = std::make_unique<PipelinedSwitch>(cfg_.node);
+  }
+  c.injector.rng = Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (v + 1)));
+  c.injector.cells_per_cycle = load / cfg_.node.cell_words;
+  c.injector.self = v;
+  c.injector.n_nodes = nodes();
+  // The fabric's own accounting rides the multi-subscriber hub, leaving
+  // room for checkers, scoreboards, and user taps on the same switch.
+  SwitchEvents ev;
+  Node::Cell* cp = &c;
+  ev.on_drop = [cp](unsigned, Cycle, DropReason why) {
+    switch (why) {
+      case DropReason::kNoAddress: ++cp->drop_no_addr; break;
+      case DropReason::kNoSlot: ++cp->drop_no_slot; break;
+      case DropReason::kOutputLimit: ++cp->drop_out_limit; break;
+    }
+  };
+  EventHub& hub = c.sw ? c.sw->events() : c.fast->events();
+  c.drop_sub = hub.subscribe(std::move(ev));
+  if (cfg_.flight_recorder) {
+    obs::FlightRecorderConfig fr;
+    fr.warmup = cfg_.flight_warmup;
+    c.flight =
+        std::make_unique<obs::FlightRecorder>(cfg_.node.n_ports, cfg_.node.cell_words, fr);
+    c.flight->attach(hub);
+  }
+}
+
+template <typename RingT>
+RingT* Fabric::add_ring(unsigned from, unsigned to) {
+  auto ring = std::make_unique<RingT>(cfg_.link_pipe_stages);
+  RingT* r = ring.get();
+  rings_.push_back(std::move(ring));
+  links_.push_back(Link{from, to, r});
+  return r;
+}
+
+void Fabric::wire_node(unsigned v, const std::vector<Channel*>& cell_rings) {
+  Node& nd = nodes_[v];
+  if (nd.router) {
+    nd.engine.add(nd.router.get());
+    return;
+  }
   const net::Topology& topo = cfg_.topo;
-  Node& node = *nodes_[v];
-  eng.add(node.sw ? static_cast<Component*>(node.sw.get())
-                  : static_cast<Component*>(node.fast.get()));
-  auto in_link = [&node](unsigned q) -> WireLink* {
-    return node.sw ? &node.sw->in_link(q) : &node.fast->in_link(q);
+  Node::Cell& c = *nd.cell;
+  nd.engine.add(c.sw ? static_cast<Component*>(c.sw.get())
+                     : static_cast<Component*>(c.fast.get()));
+  auto in_link = [&c](unsigned q) -> WireLink* {
+    return c.sw ? &c.sw->in_link(q) : &c.fast->in_link(q);
   };
-  auto out_link = [&node](unsigned p) -> WireLink* {
-    return node.sw ? &node.sw->out_link(p) : &node.fast->out_link(p);
+  auto out_link = [&c](unsigned p) -> WireLink* {
+    return c.sw ? &c.sw->out_link(p) : &c.fast->out_link(p);
   };
+  nd.engine.reserve(1 + 2 * ports_);  // The switch, a bridge and a tap per port.
+  c.bridges.reserve(ports_);
+  c.taps.reserve(ports_);
   // The first connected port doubles as the node's injection point.
   bool designated = false;
   for (unsigned q = 0; q < ports_; ++q) {
     const net::Port port = static_cast<net::Port>(q);
     const int u = topo.neighbor(v, port);
     if (u < 0) continue;
-    Channel* rx = channels_[static_cast<unsigned>(u) * ports_ + net::opposite(port)].get();
+    Channel* rx = cell_rings[static_cast<unsigned>(u) * ports_ + net::opposite(port)];
     PMSB_CHECK(rx != nullptr, "fabric link without a channel");
-    Injector* inj = designated ? nullptr : &node.injector;
+    Injector* inj = designated ? nullptr : &c.injector;
     designated = true;
-    bridges.push_back(std::make_unique<PortBridge>(&cfg_.topo, &codec_, v, port, rx,
-                                                   in_link(q), inj, &node.ejector));
-    eng.add(bridges.back().get());
+    c.bridges.push_back(std::make_unique<PortBridge>(&cfg_.topo, &codec_, v, port, rx,
+                                                     in_link(q), inj, &c.ejector));
+    nd.engine.add(c.bridges.back().get());
   }
   PMSB_CHECK(designated, "fabric node with no links");
   for (unsigned p = 0; p < ports_; ++p) {
-    Channel* ch = channels_[v * ports_ + p].get();
+    Channel* ch = cell_rings[v * ports_ + p];
     if (!ch) continue;
-    taps.push_back(std::make_unique<TxTap>(out_link(p), ch));
-    eng.add(taps.back().get());
+    c.taps.push_back(std::make_unique<TxTap>(out_link(p), ch));
+    nd.engine.add(c.taps.back().get());
   }
   // Structural invariant checking only exists for the cycle-accurate
   // switch; fast nodes are covered by the differential harness instead.
-  if (check::env_enabled() && node.sw) {
-    node.checker = std::make_unique<check::InvariantChecker>();
-    node.checker->attach(*node.sw, eng);
+  if (check::env_enabled() && c.sw) {
+    c.checker = std::make_unique<check::InvariantChecker>();
+    c.checker->attach(*c.sw, nd.engine);
   }
 }
 
 void Fabric::build() {
-  const unsigned n = cfg_.topo.nodes();
-  unsigned workers = cfg_.threads ? cfg_.threads : exp::thread_count();
-  workers_ = std::min(std::max(workers, 1u), n);
+  const net::Topology& topo = cfg_.topo;
+  const unsigned n = topo.nodes();
+  workers_ = std::min(std::max(cfg_.threads ? cfg_.threads : exp::thread_count(), 1u), n);
   idle_skip_on_ = cfg_.idle_skip < 0 ? Engine::idle_skip_env_default() : cfg_.idle_skip != 0;
-  if (worm_)
-    build_worm();
-  else
-    build_cells();
-}
-
-void Fabric::build_worm() {
-  const net::Topology& topo = cfg_.topo;
-  const unsigned n = topo.nodes();
+  // A spec-embedded load ("uniform:0.3") overrides cfg_.load.
   const auto spec = traffic::GeneratorSpec::parse(cfg_.traffic);
+  if (worm_) {
+    // One shared destination pattern: pick() is stateless (each caller
+    // passes its own Rng), so routers on different threads can share it.
+    // The rng here only seeds the permutation draw.
+    Rng drng(mix64(cfg_.seed ^ 0x517cc1b727220a95ULL));
+    wdests_ = spec.make_dest(topo.endpoints(), drng);
+  }
+  const double load = spec.load_or(cfg_.load);
+  nodes_ = std::vector<Node>(n);
+  for (unsigned v = 0; v < n; ++v) make_node(v, load);
 
-  // One shared destination pattern: pick() is stateless (each caller passes
-  // its own Rng), so routers on different threads can share it. The rng here
-  // only seeds the permutation draw.
-  Rng drng(mix64(cfg_.seed ^ 0x517cc1b727220a95ULL));
-  wdests_ = spec.make_dest(topo.endpoints(), drng);
-
-  WormParams wp;
-  wp.lanes = cfg_.lanes;
-  wp.lane_depth = cfg_.buffer_flits / cfg_.lanes;
-  wp.message_flits = cfg_.message_flits;
-  wp.messages_per_cycle = spec.load_or(cfg_.load) / cfg_.message_flits;
-  wp.alloc = cfg_.alloc;
-
-  wrouters_.reserve(n);
-  for (unsigned v = 0; v < n; ++v)
-    wrouters_.push_back(std::make_unique<WormRouter>(&cfg_.topo, v, wp, wdests_.get()));
-
-  // Router links: a forward flit ring u->v plus a reverse credit ring v->u
-  // per link, identical wiring at every thread count and engine.
-  wdata_.resize(static_cast<std::size_t>(n) * ports_);
-  wcredit_.resize(static_cast<std::size_t>(n) * ports_);
+  // Rings, identical at every thread count and engine: each directed link
+  // gets one even when both endpoints land on one worker -- a cell ring, or
+  // a forward flit ring u->v plus a reverse credit ring v->u.
+  std::vector<Channel*> cell_rings(worm_ ? 0 : static_cast<std::size_t>(n) * ports_, nullptr);
+  rings_.reserve(static_cast<std::size_t>(n) * ports_ * (worm_ ? 2 : 1));
+  links_.reserve(rings_.capacity());
   for (unsigned u = 0; u < n; ++u) {
     for (unsigned p = 0; p < ports_; ++p) {
-      const int v = topo.neighbor(u, p);
-      if (v < 0) continue;
-      const unsigned q = topo.peer_in_port(u, p);
-      auto& data = wdata_[u * ports_ + p];
-      auto& credit = wcredit_[static_cast<unsigned>(v) * ports_ + q];
-      data = std::make_unique<WormChannel>(cfg_.link_pipe_stages);
-      credit = std::make_unique<CreditChannel>(cfg_.link_pipe_stages);
-      wrouters_[u]->connect_out(p, data.get(), credit.get());
-      wrouters_[static_cast<unsigned>(v)]->connect_in(q, data.get(), credit.get());
-      wlinks_.push_back(WormLink{u, p, static_cast<unsigned>(v), q});
-    }
-  }
-
-  // Endpoints: sources on the ingress ports (per-endpoint RNG split from the
-  // seed, like the cell Injectors), sinks on the egress ports -- a mesh
-  // node's kLocal port, or a multistage network's first-stage inputs and
-  // last-stage outputs.
-  for (unsigned e = 0; e < topo.endpoints(); ++e) {
-    const auto [v, q] = topo.ingress_of(e);
-    wrouters_[v]->add_source(q, e, Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (e + 1))));
-    if (!topo.multistage()) wrouters_[v]->add_sink(net::kLocal, e);
-  }
-  for (unsigned el = 0; el < topo.elements_per_stage(); ++el) {
-    const unsigned v = topo.node_id(topo.stages() - 1, el);
-    for (unsigned p = 0; p < ports_; ++p)
-      wrouters_[v]->add_sink(p, topo.egress_endpoint(v, p));
-  }
-
-  if (cfg_.engine == FabricEngine::kDataflow) {
-    build_worm_dataflow(workers_);
-    return;
-  }
-
-  shards_.reserve(workers_);
-  for (unsigned s = 0; s < workers_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    const unsigned lo = s * n / workers_;
-    const unsigned hi = (s + 1) * n / workers_;
-    shard->engine.set_idle_skip(false);  // only maybe_skip may skip (rounds)
-    for (unsigned v = lo; v < hi; ++v) {
-      shard->node_ids.push_back(v);
-      shard->engine.add(wrouters_[v].get());
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void Fabric::build_cells() {
-  const net::Topology& topo = cfg_.topo;
-  const unsigned n = topo.nodes();
-
-  // A "uniform:LOAD" spec overrides cfg_.load, same as the worm fabrics.
-  const double load = traffic::GeneratorSpec::parse(cfg_.traffic).load_or(cfg_.load);
-
-  nodes_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    auto node = std::make_unique<Node>();
-    if (cfg_.fast_node && cfg_.fast_node(i)) {
-      node->fast = std::make_unique<FastSwitch>(cfg_.node);
-    } else {
-      node->sw = std::make_unique<PipelinedSwitch>(cfg_.node);
-    }
-    node->injector.rng = Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (i + 1)));
-    node->injector.cells_per_cycle = load / cfg_.node.cell_words;
-    node->injector.self = i;
-    node->injector.n_nodes = n;
-    // The fabric's own accounting rides the multi-subscriber hub, leaving
-    // room for checkers, scoreboards, and user taps on the same switch.
-    SwitchEvents ev;
-    Node* np = node.get();
-    ev.on_drop = [np](unsigned, Cycle, DropReason why) {
-      switch (why) {
-        case DropReason::kNoAddress: ++np->drop_no_addr; break;
-        case DropReason::kNoSlot: ++np->drop_no_slot; break;
-        case DropReason::kOutputLimit: ++np->drop_out_limit; break;
+      const int nb = topo.neighbor(u, p);
+      if (nb < 0) continue;
+      const unsigned v = static_cast<unsigned>(nb);
+      if (!worm_) {
+        cell_rings[u * ports_ + p] = add_ring<Channel>(u, v);
+        continue;
       }
-    };
-    EventHub& hub = node->sw ? node->sw->events() : node->fast->events();
-    node->drop_sub = hub.subscribe(std::move(ev));
-    if (cfg_.flight_recorder) {
-      obs::FlightRecorderConfig fr;
-      fr.warmup = cfg_.flight_warmup;
-      node->flight = std::make_unique<obs::FlightRecorder>(cfg_.node.n_ports,
-                                                           cfg_.node.cell_words, fr);
-      node->flight->attach(hub);
-    }
-    nodes_.push_back(std::move(node));
-  }
-
-  // Identical wiring at every thread count AND engine: each directed link
-  // gets a channel even when both endpoints share a shard.
-  channels_.resize(static_cast<std::size_t>(n) * ports_);
-  for (unsigned u = 0; u < n; ++u) {
-    for (unsigned p = 0; p < ports_; ++p) {
-      if (topo.neighbor(u, static_cast<net::Port>(p)) >= 0)
-        channels_[u * ports_ + p] = std::make_unique<Channel>(cfg_.link_pipe_stages);
+      WormChannel* data = add_ring<WormChannel>(u, v);
+      CreditChannel* credit = add_ring<CreditChannel>(v, u);
+      nodes_[u].router->connect_out(p, data, credit);
+      nodes_[v].router->connect_in(topo.peer_in_port(u, p), data, credit);
     }
   }
+  if (worm_) {
+    // Endpoints: sources on the ingress ports (per-endpoint RNG split from
+    // the seed, like the cell Injectors), sinks on the egress ports -- a
+    // mesh node's kLocal port, or a multistage network's first-stage inputs
+    // and last-stage outputs.
+    for (unsigned e = 0; e < topo.endpoints(); ++e) {
+      const auto [v, q] = topo.ingress_of(e);
+      nodes_[v].router->add_source(q, e,
+                                   Rng(mix64(cfg_.seed + 0x9e3779b97f4a7c15ULL * (e + 1))));
+      if (!topo.multistage()) nodes_[v].router->add_sink(net::kLocal, e);
+    }
+    for (unsigned el = 0; el < topo.elements_per_stage(); ++el) {
+      const unsigned v = topo.node_id(topo.stages() - 1, el);
+      for (unsigned p = 0; p < ports_; ++p)
+        nodes_[v].router->add_sink(p, topo.egress_endpoint(v, p));
+    }
+  }
+  for (unsigned v = 0; v < n; ++v) wire_node(v, cell_rings);
 
-  if (cfg_.engine == FabricEngine::kDataflow) {
-    build_dataflow(workers_);
+  // Ring edges: links_ grouped by consumer (ins) and by producer (outs), a
+  // counting sort that keeps wiring order within each node. A worm credit
+  // ring makes the data link's upstream router a consumer, so the dataflow
+  // bounds below point both ways along every worm link.
+  const auto group = [this, n](std::vector<Link>& flat, unsigned Link::*key,
+                               std::span<const Link> Node::*edges) {
+    std::vector<std::size_t> at(n + 1, 0);
+    for (const Link& l : links_) ++at[l.*key + 1];
+    for (unsigned v = 0; v < n; ++v) at[v + 1] += at[v];
+    flat.resize(links_.size());
+    for (unsigned v = 0; v < n; ++v)
+      nodes_[v].*edges = {flat.data() + at[v], at[v + 1] - at[v]};
+    for (const Link& l : links_) flat[at[l.*key]++] = l;
+  };
+  group(ins_, &Link::to, &Node::ins);
+  group(outs_, &Link::from, &Node::outs);
+  const Cycle stages = cfg_.link_pipe_stages;
+  for (const Link& l : links_)
+    credit_ = std::min(credit_, static_cast<Cycle>(l.ring->capacity()) - stages);
+  PMSB_CHECK(credit_ > 0, "channel ring smaller than its own delay");
+
+  if (cfg_.engine == FabricEngine::kBarrier) {
+    shards_.reserve(workers_);
+    for (std::vector<unsigned>& ids : node_blocks(workers_))
+      shards_.push_back(Shard{std::move(ids)});
     return;
   }
-
-  // kBarrier: contiguous node blocks per shard (cache locality; any fixed
-  // partition yields identical results).
-  shards_.reserve(workers_);
-  for (unsigned s = 0; s < workers_; ++s) {
-    auto shard = std::make_unique<Shard>();
-    const unsigned lo = s * n / workers_;
-    const unsigned hi = (s + 1) * n / workers_;
-    // Engine-local skipping stays off inside shards: a shard cannot see
-    // other shards' in-flight flits or its own channels' contents, so only
-    // the fabric-level planner (maybe_skip) may skip, at round granularity.
-    shard->engine.set_idle_skip(false);
-    for (unsigned v = lo; v < hi; ++v) {
-      shard->node_ids.push_back(v);
-      wire_node(v, shard->engine, shard->bridges, shard->taps);
-    }
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void Fabric::build_dataflow(unsigned workers) {
   df_ = std::make_unique<Dataflow>();
-  Dataflow& df = *df_;
-  const unsigned n = nodes();
-  const Cycle stages = cfg_.link_pipe_stages;
-
-  df.scheduler = std::make_unique<Scheduler>(workers);
-  df.nodes.reserve(n);
-  for (unsigned v = 0; v < n; ++v) {
-    auto nd = std::make_unique<Dataflow::NodeRt>();
-    // Engine-local skipping off: the node's engine cannot see its channels,
-    // so only df_advance_node may skip, with the channel-idle check.
-    nd->engine.set_idle_skip(false);
-    wire_node(v, nd->engine, nd->bridges, nd->taps);
-    for (unsigned q = 0; q < ports_; ++q) {
-      const net::Port port = static_cast<net::Port>(q);
-      const int u = cfg_.topo.neighbor(v, port);
-      if (u < 0) continue;
-      Channel* rx = channels_[static_cast<unsigned>(u) * ports_ + net::opposite(port)].get();
-      nd->ins.push_back(Dataflow::NodeRt::In{static_cast<unsigned>(u), rx});
-    }
-    Cycle credit = kNeverWake;
-    for (unsigned p = 0; p < ports_; ++p) {
-      Channel* ch = channels_[v * ports_ + p].get();
-      if (!ch) continue;
-      nd->out_nodes.push_back(
-          static_cast<unsigned>(cfg_.topo.neighbor(v, static_cast<net::Port>(p))));
-      nd->out_chs.push_back(ch);
-      const Cycle c = static_cast<Cycle>(ch->capacity()) - stages;
-      if (c < credit) credit = c;
-    }
-    PMSB_CHECK(credit > 0, "channel ring smaller than its own delay");
-    nd->credit = credit;
-    df.nodes.push_back(std::move(nd));
-  }
-
-  // Sampling-frame ring: clock skew between any two nodes is bounded by
-  // diameter * D (each hop adds at most D), i.e. `diameter` boundaries, so
-  // diameter + 4 in-flight boundary accumulators can never collide.
-  df_finish_build(workers, cfg_.topo.diameter() + 4);
+  df_->scheduler = std::make_unique<Scheduler>(workers_);
+  // Sampling-frame ring: clock skew between any two nodes is bounded by D
+  // per link of the undirected dependency graph between them, i.e. one
+  // boundary per link: the diameter of a direct network, and at most
+  // 2 * (stages - 1) on a multistage one, whose credit rings point back
+  // upstream (forward to a common stage and back). Four spare slots, and
+  // in-flight boundary accumulators can never collide.
+  const unsigned span = topo.multistage() ? 2 * topo.stages() : topo.diameter();
+  for (unsigned j = 0; j < span + 4; ++j)
+    df_->frames.push_back(std::make_unique<Dataflow::FrameSlot>());
+  // Initial partition: tasks_per_worker tasks per worker so stealing and
+  // rebalancing have slack to move load around.
+  const unsigned tasks = std::min(std::max(workers_ * cfg_.tasks_per_worker, workers_), n);
+  df_apply_partition(node_blocks(tasks));
 }
 
-void Fabric::build_worm_dataflow(unsigned workers) {
-  df_ = std::make_unique<Dataflow>();
-  Dataflow& df = *df_;
+std::vector<std::vector<unsigned>> Fabric::node_blocks(unsigned parts) const {
   const unsigned n = nodes();
-  const Cycle stages = cfg_.link_pipe_stages;
-
-  df.scheduler = std::make_unique<Scheduler>(workers);
-  df.nodes.reserve(n);
-  for (unsigned v = 0; v < n; ++v) {
-    auto nd = std::make_unique<Dataflow::NodeRt>();
-    nd->engine.set_idle_skip(false);  // only df_advance_node may skip
-    nd->engine.add(wrouters_[v].get());
-    df.nodes.push_back(std::move(nd));
-  }
-  // Dependency edges from the link list: the forward flit ring makes v a
-  // downstream of u, and the reverse credit ring makes u a downstream of v
-  // -- same input/credit bounds, pointing both ways along every link.
-  for (const WormLink& l : wlinks_) {
-    WormChannel* data = wdata_[l.u * ports_ + l.p].get();
-    CreditChannel* credit = wcredit_[l.v * ports_ + l.q].get();
-    df.nodes[l.v]->ins.push_back(Dataflow::NodeRt::In{l.u, data});
-    df.nodes[l.u]->out_nodes.push_back(l.v);
-    df.nodes[l.u]->out_chs.push_back(data);
-    df.nodes[l.u]->ins.push_back(Dataflow::NodeRt::In{l.v, credit});
-    df.nodes[l.v]->out_nodes.push_back(l.u);
-    df.nodes[l.v]->out_chs.push_back(credit);
-  }
-  for (auto& nd : df.nodes) {
-    Cycle credit = kNeverWake;
-    for (ChannelBase* ch : nd->out_chs) {
-      const Cycle c = static_cast<Cycle>(ch->capacity()) - stages;
-      if (c < credit) credit = c;
-    }
-    if (credit == kNeverWake) credit = 1;  // isolated node (cannot happen)
-    PMSB_CHECK(credit > 0, "channel ring smaller than its own delay");
-    nd->credit = credit;
-  }
-
-  // The dependency graph is bidirectional along every link (credits flow
-  // upstream), so the skew bound is the *undirected* link distance between
-  // two routers: at most 2 * (stages - 1) boundaries on a multistage network
-  // (forward to a common stage and back), the diameter on a mesh.
-  const unsigned span =
-      cfg_.topo.multistage() ? 2 * cfg_.topo.stages() : cfg_.topo.diameter();
-  df_finish_build(workers, span + 4);
-}
-
-void Fabric::df_finish_build(unsigned workers, unsigned frame_ring) {
-  Dataflow& df = *df_;
-  const unsigned n = nodes();
-  df.frames.reserve(frame_ring);
-  for (unsigned j = 0; j < frame_ring; ++j)
-    df.frames.push_back(std::make_unique<Dataflow::FrameSlot>());
-
-  // Initial partition: contiguous blocks, tasks_per_worker tasks per worker
-  // so stealing and rebalancing have slack to move load around.
-  unsigned ntasks = workers * cfg_.tasks_per_worker;
-  ntasks = std::min(std::max(ntasks, workers), n);
-  std::vector<std::vector<unsigned>> parts(ntasks);
-  for (unsigned t = 0; t < ntasks; ++t) {
-    const unsigned lo = t * n / ntasks;
-    const unsigned hi = (t + 1) * n / ntasks;
-    for (unsigned v = lo; v < hi; ++v) parts[t].push_back(v);
-  }
-  df_apply_partition(parts);
+  std::vector<std::vector<unsigned>> blocks(parts);
+  for (unsigned b = 0; b < parts; ++b)
+    for (unsigned v = b * n / parts; v < (b + 1) * n / parts; ++v) blocks[b].push_back(v);
+  return blocks;
 }
 
 void Fabric::df_apply_partition(const std::vector<std::vector<unsigned>>& parts) {
@@ -625,14 +533,13 @@ void Fabric::df_apply_partition(const std::vector<std::vector<unsigned>>& parts)
     for (unsigned v : parts[t]) df.task_of[v] = static_cast<unsigned>(t);
     df.tasks.push_back(std::move(task));
   }
-  // Wake lists: the tasks owning any channel neighbor of this task's nodes.
+  // Wake lists: the tasks owning any ring neighbor of this task's nodes.
   df.wake_lists.assign(parts.size(), {});
   for (std::size_t t = 0; t < parts.size(); ++t) {
     std::vector<unsigned>& nbrs = df.wake_lists[t];
     for (unsigned v : parts[t]) {
-      for (const Dataflow::NodeRt::In& in : df.nodes[v]->ins)
-        nbrs.push_back(df.task_of[in.node]);
-      for (unsigned o : df.nodes[v]->out_nodes) nbrs.push_back(df.task_of[o]);
+      for (const Link& l : nodes_[v].ins) nbrs.push_back(df.task_of[l.from]);
+      for (const Link& l : nodes_[v].outs) nbrs.push_back(df.task_of[l.to]);
     }
     std::sort(nbrs.begin(), nbrs.end());
     nbrs.erase(std::unique(nbrs.begin(), nbrs.end()), nbrs.end());
@@ -651,105 +558,92 @@ void Fabric::df_apply_partition(const std::vector<std::vector<unsigned>>& parts)
 void Fabric::register_metrics(obs::MetricsRegistry* m) {
   metrics_ = m;
   if (!m) return;
-  // Under the dataflow engine the gauges fire inside a boundary-frame
-  // publication (df_contribute_sample) while other nodes keep advancing, so
-  // they read the assembled SampleFrame; the barrier engine samples with
-  // every worker parked and reads live state. Values are identical.
-  m->add_gauge("fabric.injected", [this] {
-    return static_cast<double>(sample_frame_ ? sample_frame_->injected : sum_injected());
+  // The gauges read the frame publish() hands them -- the live totals with
+  // every barrier worker parked, or a boundary frame the dataflow engine
+  // assembled from per-node contributions while other nodes kept advancing.
+  // Values are identical.
+  const auto gauge = [this, m](const char* name, double (*fn)(const SampleFrame&)) {
+    m->add_gauge(name, [this, fn] { return fn(sample_frame_ ? *sample_frame_ : totals()); });
+  };
+  gauge("fabric.injected",
+        [](const SampleFrame& f) { return static_cast<double>(f.injected); });
+  gauge("fabric.delivered",
+        [](const SampleFrame& f) { return static_cast<double>(f.delivered); });
+  gauge("fabric.dropped", [](const SampleFrame& f) { return static_cast<double>(f.dropped); });
+  gauge("fabric.backlog", [](const SampleFrame& f) { return static_cast<double>(f.backlog); });
+  gauge("fabric.in_network", [](const SampleFrame& f) {
+    return static_cast<double>(f.injected - f.backlog - f.delivered - f.dropped);
   });
-  m->add_gauge("fabric.delivered", [this] {
-    return static_cast<double>(sample_frame_ ? sample_frame_->delivered : sum_delivered());
-  });
-  m->add_gauge("fabric.dropped", [this] {
-    return static_cast<double>(sample_frame_ ? sample_frame_->dropped : sum_dropped());
-  });
-  m->add_gauge("fabric.backlog", [this] {
-    return static_cast<double>(sample_frame_ ? sample_frame_->backlog : sum_backlog());
-  });
-  m->add_gauge("fabric.in_network", [this] {
-    if (sample_frame_)
-      return static_cast<double>(sample_frame_->injected - sample_frame_->backlog -
-                                 sample_frame_->delivered - sample_frame_->dropped);
-    return static_cast<double>(sum_injected() - sum_backlog() - sum_delivered() -
-                               sum_dropped());
-  });
-  m->add_gauge("fabric.latency.mean", [this] {
-    const std::uint64_t d = sample_frame_ ? sample_frame_->delivered : sum_delivered();
-    const std::uint64_t lat = sample_frame_ ? sample_frame_->lat_sum : sum_lat();
-    return d ? static_cast<double>(lat) / static_cast<double>(d) : 0.0;
+  gauge("fabric.latency.mean", [](const SampleFrame& f) {
+    return f.delivered ? static_cast<double>(f.lat_sum) / static_cast<double>(f.delivered)
+                       : 0.0;
   });
 }
 
-void Fabric::run(Cycle cycles) {
-  if (cycles <= 0) return;
-  if (cfg_.engine == FabricEngine::kDataflow) {
-    run_dataflow(cycles);
-    return;
-  }
-  run_target_ = cycles_run_ + cycles;
-  const Cycle lookahead = cfg_.link_pipe_stages;
+void Fabric::publish(const SampleFrame& f, Cycle cycle) {
+  sample_frame_ = &f;
+  metrics_->sample(cycle);
+  sample_frame_ = nullptr;
+}
 
-  using SteadyClock = std::chrono::steady_clock;
-  auto ns_between = [](SteadyClock::time_point a, SteadyClock::time_point b) {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
-
-  if (shards_.size() == 1) {
-    Shard& s = *shards_[0];
-    while (cycles_run_ < run_target_) {
-      const auto t0 = SteadyClock::now();
-      s.engine.run(std::min<Cycle>(lookahead, run_target_ - cycles_run_));
-      const auto t1 = SteadyClock::now();
-      end_of_round();
-      // With one shard the "barrier" cost is the round bookkeeping itself.
-      s.active_ns += ns_between(t0, t1);
-      s.barrier_wait_ns += ns_between(t1, SteadyClock::now());
-      ++s.rounds;
-      if (s.engine.now() < cycles_run_) s.engine.skip_to(cycles_run_);
-    }
-    return;
-  }
-
-  const unsigned workers = static_cast<unsigned>(shards_.size());
+exp::ThreadPool& Fabric::pool() {
   if (!pool_) {
     exp::ThreadPoolOptions po;
     if (exp::pin_threads_env())
       po.on_worker_start = [](unsigned w) { exp::pin_current_thread(w); };
-    pool_ = std::make_unique<exp::ThreadPool>(workers, std::move(po));
+    pool_ = std::make_unique<exp::ThreadPool>(workers_, std::move(po));
   }
-  // The last arriver of each round advances the global clock and samples
-  // the gauges while every other shard is parked (see sim/barrier.hpp).
-  SpinBarrier barrier(workers, [this] { end_of_round(); });
+  return *pool_;
+}
+
+void Fabric::run(Cycle cycles) {
+  if (cycles <= 0) return;
+  if (df_) {
+    run_dataflow(cycles);
+    return;
+  }
+  run_target_ = cycles_run_ + cycles;
   const Cycle start = cycles_run_;
   const Cycle target = run_target_;
-  for (auto& sp : shards_) {
-    Shard* shard = sp.get();
-    pool_->submit([this, shard, start, target, lookahead, &barrier, ns_between] {
-      Cycle done = start;
-      while (done < target) {
-        const Cycle step = std::min<Cycle>(lookahead, target - done);
-        const auto t0 = SteadyClock::now();
-        shard->engine.run(step);
-        const auto t1 = SteadyClock::now();
-        done += step;
-        barrier.arrive_and_wait();
-        shard->active_ns += ns_between(t0, t1);
-        shard->barrier_wait_ns += ns_between(t1, SteadyClock::now());
-        ++shard->rounds;
-        // The planner may have skipped whole rounds inside the barrier
-        // (maybe_skip); every worker observes the same jump -- the barrier
-        // orders the cycles_run_ write before this read -- so all shards
-        // take identical trajectories.
-        if (done < cycles_run_ && cycles_run_ <= target) {
-          shard->engine.skip_to(cycles_run_);
-          done = cycles_run_;
-        }
+  // The last arriver of each round advances the global clock and samples
+  // the gauges while every other shard is parked (see sim/barrier.hpp);
+  // with one shard the "barrier" cost is that round bookkeeping itself.
+  SpinBarrier barrier(static_cast<unsigned>(shards_.size()), [this] { end_of_round(); });
+  auto work = [this, start, target, &barrier](Shard& shard) {
+    using SteadyClock = std::chrono::steady_clock;
+    auto ns_between = [](SteadyClock::time_point a, SteadyClock::time_point b) {
+      return static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+    };
+    Cycle done = start;
+    while (done < target) {
+      const Cycle step = std::min<Cycle>(cfg_.link_pipe_stages, target - done);
+      const auto t0 = SteadyClock::now();
+      // Within a round a node reads only ring slots written in earlier
+      // rounds, so the shard may run its nodes one after another.
+      for (unsigned v : shard.node_ids) nodes_[v].engine.run(step);
+      const auto t1 = SteadyClock::now();
+      done += step;
+      barrier.arrive_and_wait();
+      shard.active_ns += ns_between(t0, t1);
+      shard.barrier_wait_ns += ns_between(t1, SteadyClock::now());
+      ++shard.rounds;
+      // The planner may have skipped whole rounds inside the barrier
+      // (maybe_skip); every worker observes the same jump -- the barrier
+      // orders the cycles_run_ write before this read -- so all shards
+      // take identical trajectories.
+      if (done < cycles_run_ && cycles_run_ <= target) {
+        for (unsigned v : shard.node_ids) nodes_[v].engine.skip_to(cycles_run_);
+        done = cycles_run_;
       }
-    });
+    }
+  };
+  if (shards_.size() == 1) {
+    work(shards_[0]);
+  } else {
+    for (Shard& shard : shards_) pool().submit([&work, &shard] { work(shard); });
+    pool_->wait_idle();
   }
-  pool_->wait_idle();
   PMSB_CHECK(cycles_run_ == run_target_, "fabric rounds out of step");
 }
 
@@ -764,50 +658,32 @@ void Fabric::run_dataflow(Cycle cycles) {
   df.target = cycles_run_ + cycles;
   run_target_ = df.target;
   df.round = cfg_.link_pipe_stages;
-  if (metrics_ != nullptr) {
-    df.n_boundaries = (cycles + df.round - 1) / df.round;
-    df.sample_turn.store(0, std::memory_order_relaxed);
-    const Cycle rsize = static_cast<Cycle>(df.frames.size());
-    for (Cycle j = 0; j < rsize; ++j) {
-      Dataflow::FrameSlot& slot = *df.frames[static_cast<std::size_t>(j)];
-      slot.injected.store(0, std::memory_order_relaxed);
-      slot.delivered.store(0, std::memory_order_relaxed);
-      slot.dropped.store(0, std::memory_order_relaxed);
-      slot.backlog.store(0, std::memory_order_relaxed);
-      slot.lat_sum.store(0, std::memory_order_relaxed);
-      slot.remaining.store(nodes(), std::memory_order_relaxed);
-      slot.boundary.store(j < df.n_boundaries ? j : -1, std::memory_order_release);
-    }
-  } else {
-    df.n_boundaries = 0;
+  df.n_boundaries = metrics_ != nullptr ? (cycles + df.round - 1) / df.round : 0;
+  df.sample_turn.store(0, std::memory_order_relaxed);
+  for (std::size_t j = 0; j < df.frames.size(); ++j) {
+    const Cycle k = static_cast<Cycle>(j);
+    df.frames[j]->arm(k < df.n_boundaries ? k : -1, nodes());
   }
   for (auto& t : df.tasks)
     t->active_snapshot = t->active_ns.load(std::memory_order_relaxed);
 
-  if (!pool_) {
-    exp::ThreadPoolOptions po;
-    if (exp::pin_threads_env())
-      po.on_worker_start = [](unsigned w) { exp::pin_current_thread(w); };
-    pool_ = std::make_unique<exp::ThreadPool>(workers_, std::move(po));
-  }
   std::vector<SchedTask*> tasks;
   tasks.reserve(df.tasks.size());
   for (auto& t : df.tasks) tasks.push_back(t.get());
-  df.scheduler->run(*pool_, tasks, df.wake_lists, df.placement);
+  df.scheduler->run(pool(), tasks, df.wake_lists, df.placement);
 
   cycles_run_ = df.target;
-  for (const auto& nd : df.nodes)
-    PMSB_CHECK(nd->done.load(std::memory_order_relaxed) == df.target,
+  for (const Node& nd : nodes_)
+    PMSB_CHECK(nd.done.load(std::memory_order_relaxed) == df.target,
                "dataflow node stopped short of the run target");
-  if (metrics_ != nullptr)
-    PMSB_CHECK(df.sample_turn.load(std::memory_order_relaxed) == df.n_boundaries,
-               "dataflow run finished with unpublished samples");
+  PMSB_CHECK(df.sample_turn.load(std::memory_order_relaxed) == df.n_boundaries,
+             "dataflow run finished with unpublished samples");
   if (cfg_.rebalance) df_plan_rebalance();
 }
 
 Fabric::NodeAdvance Fabric::df_advance_node(unsigned v) {
   Dataflow& df = *df_;
-  Dataflow::NodeRt& nd = *df.nodes[v];
+  Node& nd = nodes_[v];
   const Cycle target = df.target;
   const Cycle d = nd.engine.now();
   if (d >= target) return NodeAdvance::kNodeDone;
@@ -816,13 +692,13 @@ Fabric::NodeAdvance Fabric::df_advance_node(unsigned v) {
   // Input bound first: it is the tighter constraint under load, and its
   // seq_cst loads double as the acquire of the upstreams' ring writes.
   Cycle limit = target;
-  for (const Dataflow::NodeRt::In& in : nd.ins) {
-    const Cycle b = df.nodes[in.node]->done.load(std::memory_order_seq_cst) + stages;
+  for (const Link& in : nd.ins) {
+    const Cycle b = nodes_[in.from].done.load(std::memory_order_seq_cst) + stages;
     if (b < limit) limit = b;
   }
   if (limit <= d) return NodeAdvance::kInputBlocked;
-  for (unsigned o : nd.out_nodes) {
-    const Cycle b = df.nodes[o]->done.load(std::memory_order_seq_cst) + nd.credit;
+  for (const Link& out : nd.outs) {
+    const Cycle b = nodes_[out.to].done.load(std::memory_order_seq_cst) + credit_;
     if (b < limit) limit = b;
   }
   if (limit <= d) return NodeAdvance::kCreditBlocked;
@@ -840,21 +716,14 @@ Fabric::NodeAdvance Fabric::df_advance_node(unsigned v) {
     // arriving on any input during [d, limit) -- idle_at(d) bounds arrivals
     // to cycles >= upstream_done >= limit - D, outside the window.
     Cycle wake = kNeverWake;
-    if (nd.engine.quiescent_at(d, &wake) && wake >= limit) {
-      bool rx_idle = true;
-      for (const Dataflow::NodeRt::In& in : nd.ins) {
-        if (!in.ch->idle_at(d)) {
-          rx_idle = false;
-          break;
-        }
-      }
-      if (rx_idle) {
-        // Stand in for the suppressed per-cycle writes (Channel::clear_range).
-        for (ChannelBase* ch : nd.out_chs) ch->clear_range(d, limit);
-        nd.engine.skip_to(limit);
-        rounds_skipped_.fetch_add(1, std::memory_order_relaxed);
-        stepped = false;
-      }
+    if (nd.engine.quiescent_at(d, &wake) && wake >= limit &&
+        std::all_of(nd.ins.begin(), nd.ins.end(),
+                    [d](const Link& in) { return in.ring->idle_at(d); })) {
+      // Stand in for the suppressed per-cycle writes (Channel::clear_range).
+      for (const Link& out : nd.outs) out.ring->clear_range(d, limit);
+      nd.engine.skip_to(limit);
+      rounds_skipped_.fetch_add(1, std::memory_order_relaxed);
+      stepped = false;
     }
   }
   if (stepped) nd.engine.run(limit - d);
@@ -868,84 +737,37 @@ Fabric::NodeAdvance Fabric::df_advance_node(unsigned v) {
 }
 
 bool Fabric::df_node_ready(unsigned v) const {
-  const Dataflow& df = *df_;
-  const Dataflow::NodeRt& nd = *df.nodes[v];
+  const Node& nd = nodes_[v];
   const Cycle d = nd.done.load(std::memory_order_seq_cst);
-  if (d >= df.target) return false;
+  if (d >= df_->target) return false;
   const Cycle stages = cfg_.link_pipe_stages;
-  for (const Dataflow::NodeRt::In& in : nd.ins)
-    if (df.nodes[in.node]->done.load(std::memory_order_seq_cst) + stages <= d) return false;
-  for (unsigned o : nd.out_nodes)
-    if (df.nodes[o]->done.load(std::memory_order_seq_cst) + nd.credit <= d) return false;
+  for (const Link& in : nd.ins)
+    if (nodes_[in.from].done.load(std::memory_order_seq_cst) + stages <= d) return false;
+  for (const Link& out : nd.outs)
+    if (nodes_[out.to].done.load(std::memory_order_seq_cst) + credit_ <= d) return false;
   return true;
 }
 
 void Fabric::df_contribute_sample(unsigned v, Cycle k) {
   Dataflow& df = *df_;
-  Dataflow::FrameSlot& slot =
-      *df.frames[static_cast<std::size_t>(k % static_cast<Cycle>(df.frames.size()))];
+  const Cycle rsize = static_cast<Cycle>(df.frames.size());
+  Dataflow::FrameSlot& slot = *df.frames[static_cast<std::size_t>(k % rsize)];
   // The slot serving boundary k is re-armed by the completer of boundary
-  // k - R. The skew bound (frames comment in build_dataflow) guarantees
-  // that boundary has all contributions by now, so this wait only covers
-  // an in-flight completion call.
+  // k - R. The skew bound (frame ring comment in build) guarantees that
+  // boundary has all contributions by now, so this wait only covers an
+  // in-flight completion call.
   while (slot.boundary.load(std::memory_order_acquire) != k) std::this_thread::yield();
   // This worker holds node v exactly at the boundary cycle, so these reads
   // see the same per-node state the parked barrier engine would.
-  if (worm_) {
-    const WormRouter& r = *wrouters_[v];
-    std::uint64_t inj = 0, bkl = 0, del = 0, lat = 0;
-    for (unsigned p = 0; p < ports_; ++p) {
-      if (r.has_source(p)) {
-        const auto ss = r.source_stats(p);
-        inj += ss.generated;
-        bkl += ss.backlog;
-      }
-      if (r.has_sink(p)) {
-        const auto ks = r.sink_stats(p);
-        del += ks.delivered;
-        lat += ks.lat_sum;
-      }
-    }
-    slot.injected.fetch_add(inj, std::memory_order_relaxed);
-    slot.backlog.fetch_add(bkl, std::memory_order_relaxed);
-    slot.delivered.fetch_add(del, std::memory_order_relaxed);
-    slot.lat_sum.fetch_add(lat, std::memory_order_relaxed);
-  } else {
-    const Node& n = *nodes_[v];
-    slot.injected.fetch_add(n.injector.generated, std::memory_order_relaxed);
-    slot.backlog.fetch_add(n.injector.backlog.size(), std::memory_order_relaxed);
-    slot.delivered.fetch_add(n.ejector.delivered, std::memory_order_relaxed);
-    slot.dropped.fetch_add(n.drop_no_addr + n.drop_no_slot + n.drop_out_limit,
-                           std::memory_order_relaxed);
-    slot.lat_sum.fetch_add(n.ejector.lat_sum, std::memory_order_relaxed);
-  }
+  slot.add(counts(v));
   if (slot.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
 
   // Last contributor publishes, strictly in boundary order (sample_turn is
   // the baton; the registry's time series relies on monotonic sample calls).
   while (df.sample_turn.load(std::memory_order_acquire) != k) std::this_thread::yield();
-  SampleFrame f;
-  f.injected = slot.injected.load(std::memory_order_relaxed);
-  f.delivered = slot.delivered.load(std::memory_order_relaxed);
-  f.dropped = slot.dropped.load(std::memory_order_relaxed);
-  f.backlog = slot.backlog.load(std::memory_order_relaxed);
-  f.lat_sum = slot.lat_sum.load(std::memory_order_relaxed);
-  sample_frame_ = &f;
-  metrics_->sample(df.boundary_cycle(k));
-  sample_frame_ = nullptr;
+  publish(slot.frame(), df.boundary_cycle(k));
   // Re-arm this slot for boundary k + R before passing the baton.
-  const Cycle next = k + static_cast<Cycle>(df.frames.size());
-  if (next < df.n_boundaries) {
-    slot.injected.store(0, std::memory_order_relaxed);
-    slot.delivered.store(0, std::memory_order_relaxed);
-    slot.dropped.store(0, std::memory_order_relaxed);
-    slot.backlog.store(0, std::memory_order_relaxed);
-    slot.lat_sum.store(0, std::memory_order_relaxed);
-    slot.remaining.store(nodes(), std::memory_order_relaxed);
-    slot.boundary.store(next, std::memory_order_release);
-  } else {
-    slot.boundary.store(-1, std::memory_order_release);
-  }
+  slot.arm(k + rsize < df.n_boundaries ? k + rsize : -1, nodes());
   df.sample_turn.store(k + 1, std::memory_order_release);
 }
 
@@ -1014,28 +836,24 @@ void Fabric::df_plan_rebalance() {
 
 void Fabric::end_of_round() {
   cycles_run_ += std::min<Cycle>(cfg_.link_pipe_stages, run_target_ - cycles_run_);
-  if (metrics_) metrics_->sample(cycles_run_);
+  if (metrics_) publish(totals(), cycles_run_);
   if (idle_skip_on_) maybe_skip();
 }
 
 void Fabric::maybe_skip() {
   if (cycles_run_ >= run_target_) return;
-  // Global quiescence: every component of every shard idle (observers --
-  // the per-node invariant checkers -- pin a shard to stepping), and every
-  // channel ring drained. Any failure means at least one cell is somewhere
-  // in flight, and the next round must be stepped.
+  // Global quiescence: every component of every node idle (observers -- the
+  // per-node invariant checkers -- pin a node to stepping), and every ring
+  // drained. Any failure means at least one cell is somewhere in flight,
+  // and the next round must be stepped.
   Cycle wake = kNeverWake;
-  for (const auto& sp : shards_) {
-    if (!sp->engine.can_skip()) return;
+  for (const Node& nd : nodes_) {
     Cycle w = kNeverWake;
-    if (!sp->engine.quiescent_at(cycles_run_, &w)) return;
+    if (!nd.engine.can_skip() || !nd.engine.quiescent_at(cycles_run_, &w)) return;
     if (w < wake) wake = w;
   }
-  bool rings_idle = true;
-  for_each_ring([&](ChannelBase& ch) {
-    if (!ch.idle_at(cycles_run_)) rings_idle = false;
-  });
-  if (!rings_idle) return;
+  for (const auto& ring : rings_)
+    if (!ring->idle_at(cycles_run_)) return;
   // Advance whole rounds while they end at or before the earliest wake
   // (components must execute the wake cycle itself), keeping the metrics
   // cadence of stepped rounds.
@@ -1045,68 +863,64 @@ void Fabric::maybe_skip() {
         cycles_run_ + std::min<Cycle>(cfg_.link_pipe_stages, run_target_ - cycles_run_);
     if (nb > wake) break;
     cycles_run_ = nb;
-    if (metrics_) metrics_->sample(cycles_run_);
+    if (metrics_) publish(totals(), cycles_run_);
     skipped = true;
     rounds_skipped_.fetch_add(1, std::memory_order_relaxed);
   }
   // Skipping suppressed the producers' per-cycle ring writes; drop the stale
   // entries so they cannot resurface after a jump past the ring size. All
-  // channels are empty here, so nothing live is lost.
-  if (skipped) for_each_ring([](ChannelBase& ch) { ch.clear_for_skip(); });
+  // rings are empty here, so nothing live is lost.
+  if (skipped)
+    for (const auto& ring : rings_) ring->clear_for_skip();
 }
 
-std::uint64_t Fabric::sum_injected() const {
-  std::uint64_t s = 0;
+Fabric::SampleFrame Fabric::counts(unsigned v) const {
+  const Node& nd = nodes_[v];
+  SampleFrame c;
   if (worm_) {
-    for (const auto& r : wrouters_)
-      for (unsigned p = 0; p < ports_; ++p)
-        if (r->has_source(p)) s += r->source_stats(p).generated;
-    return s;
+    // Wormhole transport is lossless (credit-backpressured): no drops.
+    const WormRouter& r = *nd.router;
+    for (unsigned p = 0; p < ports_; ++p) {
+      if (r.has_source(p)) {
+        const auto ss = r.source_stats(p);
+        c.injected += ss.generated;
+        c.backlog += ss.backlog;
+      }
+      if (r.has_sink(p)) {
+        const auto ks = r.sink_stats(p);
+        c.delivered += ks.delivered;
+        c.lat_sum += ks.lat_sum;
+      }
+    }
+    return c;
   }
-  for (const auto& n : nodes_) s += n->injector.generated;
-  return s;
+  const Node::Cell& cl = *nd.cell;
+  c.injected = cl.injector.generated;
+  c.delivered = cl.ejector.delivered;
+  c.dropped = cl.drop_no_addr + cl.drop_no_slot + cl.drop_out_limit;
+  c.backlog = cl.injector.backlog.size();
+  c.lat_sum = cl.ejector.lat_sum;
+  return c;
 }
 
-std::uint64_t Fabric::sum_delivered() const {
-  std::uint64_t s = 0;
-  if (worm_) {
-    for (const auto& r : wrouters_)
-      for (unsigned p = 0; p < ports_; ++p)
-        if (r->has_sink(p)) s += r->sink_stats(p).delivered;
-    return s;
+Fabric::SampleFrame Fabric::totals() const {
+  SampleFrame t;
+  for (unsigned v = 0; v < nodes(); ++v) {
+    const SampleFrame c = counts(v);
+    t.injected += c.injected;
+    t.delivered += c.delivered;
+    t.dropped += c.dropped;
+    t.backlog += c.backlog;
+    t.lat_sum += c.lat_sum;
   }
-  for (const auto& n : nodes_) s += n->ejector.delivered;
-  return s;
+  return t;
 }
 
-std::uint64_t Fabric::sum_dropped() const {
-  if (worm_) return 0;  // wormhole transport is lossless (credit-backpressured)
+std::uint64_t Fabric::relayed(unsigned v) const {
+  const Node& nd = nodes_[v];
+  if (nd.router) return nd.router->flits_forwarded();
   std::uint64_t s = 0;
-  for (const auto& n : nodes_) s += n->drop_no_addr + n->drop_no_slot + n->drop_out_limit;
-  return s;
-}
-
-std::uint64_t Fabric::sum_backlog() const {
-  std::uint64_t s = 0;
-  if (worm_) {
-    for (const auto& r : wrouters_)
-      for (unsigned p = 0; p < ports_; ++p)
-        if (r->has_source(p)) s += r->source_stats(p).backlog;
-    return s;
-  }
-  for (const auto& n : nodes_) s += n->injector.backlog.size();
-  return s;
-}
-
-std::uint64_t Fabric::sum_lat() const {
-  std::uint64_t s = 0;
-  if (worm_) {
-    for (const auto& r : wrouters_)
-      for (unsigned p = 0; p < ports_; ++p)
-        if (r->has_sink(p)) s += r->sink_stats(p).lat_sum;
-    return s;
-  }
-  for (const auto& n : nodes_) s += n->ejector.lat_sum;
+  for (const auto& b : nd.cell->bridges) s += b->relayed();
   return s;
 }
 
@@ -1114,19 +928,20 @@ FabricStats Fabric::stats() const {
   FabricStats st;
   st.cycles = cycles_run_;
   bool have_lat = false;
+  std::uint64_t lat_sum = 0;
   if (worm_) {
     // Merge sinks in (node, port) order -- a fixed order, so the digest and
     // histogram are identical at any thread count and under either engine.
-    std::uint64_t lat_sum = 0;
-    for (const auto& rp : wrouters_) {
+    for (const Node& nd : nodes_) {
+      const WormRouter& r = *nd.router;
       for (unsigned p = 0; p < ports_; ++p) {
-        if (rp->has_source(p)) {
-          const auto ss = rp->source_stats(p);
+        if (r.has_source(p)) {
+          const auto ss = r.source_stats(p);
           st.injected += ss.generated;
           st.backlog += ss.backlog;
         }
-        if (!rp->has_sink(p)) continue;
-        const auto ks = rp->sink_stats(p);
+        if (!r.has_sink(p)) continue;
+        const auto ks = r.sink_stats(p);
         st.delivered += ks.delivered;
         st.flits_delivered += ks.flits;
         st.payload_errors += ks.payload_errors;
@@ -1155,8 +970,8 @@ FabricStats Fabric::stats() const {
     st.in_network = st.injected - accounted;
     return st;
   }
-  for (const auto& np : nodes_) {
-    const Node& n = *np;
+  for (const Node& nd : nodes_) {
+    const Node::Cell& n = *nd.cell;
     st.injected += n.injector.generated;
     st.backlog += n.injector.backlog.size();
     st.delivered += n.ejector.delivered;
@@ -1166,6 +981,7 @@ FabricStats Fabric::stats() const {
     st.dropped_out_limit += n.drop_out_limit;
     st.uid_digest = mix64(st.uid_digest ^ n.ejector.digest);
     st.latency.merge(n.ejector.lat_hist);
+    lat_sum += n.ejector.lat_sum;
     if (n.ejector.delivered) {
       if (!have_lat || n.ejector.lat_min < st.min_latency) st.min_latency = n.ejector.lat_min;
       if (!have_lat || n.ejector.lat_max > st.max_latency) st.max_latency = n.ejector.lat_max;
@@ -1179,7 +995,6 @@ FabricStats Fabric::stats() const {
       st.by_hops[h].mean_latency += static_cast<double>(n.ejector.by_hops[h].lat_sum);
     }
   }
-  const std::uint64_t lat_sum = sum_lat();
   st.mean_latency =
       st.delivered ? static_cast<double>(lat_sum) / static_cast<double>(st.delivered) : 0.0;
   for (std::size_t h = 0; h < st.by_hops.size(); ++h) {
@@ -1198,13 +1013,13 @@ obs::FlightRecorder Fabric::merged_flight() const {
   obs::FlightRecorderConfig fr;
   fr.warmup = cfg_.flight_warmup;
   obs::FlightRecorder merged(cfg_.node.n_ports, cfg_.node.cell_words, fr);
-  for (const auto& n : nodes_) merged.merge(*n->flight);
+  for (const Node& nd : nodes_) merged.merge(*nd.cell->flight);
   return merged;
 }
 
 std::vector<ShardTelemetry> Fabric::shard_telemetry() const {
   std::vector<ShardTelemetry> out;
-  if (cfg_.engine == FabricEngine::kDataflow) {
+  if (df_) {
     const Dataflow& df = *df_;
     out.reserve(df.tasks.size());
     for (std::size_t i = 0; i < df.tasks.size(); ++i) {
@@ -1217,31 +1032,21 @@ std::vector<ShardTelemetry> Fabric::shard_telemetry() const {
       t.blocked_on_full_ns = task.blocked_on_full_ns.load(std::memory_order_relaxed);
       t.steals = task.steals.load(std::memory_order_relaxed);
       t.rounds = task.rounds.load(std::memory_order_relaxed);
-      for (unsigned v : task.node_ids) {
-        if (worm_) {
-          t.cells_relayed += wrouters_[v]->flits_forwarded();
-        } else {
-          for (const auto& b : df.nodes[v]->bridges) t.cells_relayed += b->relayed();
-        }
-      }
+      for (unsigned v : task.node_ids) t.cells_relayed += relayed(v);
       out.push_back(t);
     }
     return out;
   }
   out.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = *shards_[s];
+    const Shard& sh = shards_[s];
     ShardTelemetry t;
     t.shard = static_cast<unsigned>(s);
     t.nodes = static_cast<unsigned>(sh.node_ids.size());
     t.active_ns = sh.active_ns;
     t.barrier_wait_ns = sh.barrier_wait_ns;
     t.rounds = sh.rounds;
-    if (worm_) {
-      for (unsigned v : sh.node_ids) t.cells_relayed += wrouters_[v]->flits_forwarded();
-    } else {
-      for (const auto& b : sh.bridges) t.cells_relayed += b->relayed();
-    }
+    for (unsigned v : sh.node_ids) t.cells_relayed += relayed(v);
     out.push_back(t);
   }
   return out;
@@ -1251,7 +1056,7 @@ FabricSchedulerStats Fabric::scheduler_stats() const {
   FabricSchedulerStats s;
   s.engine = to_string(cfg_.engine);
   s.workers = workers_;
-  if (cfg_.engine == FabricEngine::kDataflow) {
+  if (df_) {
     const Dataflow& df = *df_;
     s.tasks = static_cast<unsigned>(df.tasks.size());
     s.steals = df.scheduler->total_steals();
@@ -1264,9 +1069,9 @@ FabricSchedulerStats Fabric::scheduler_stats() const {
     return s;
   }
   s.tasks = static_cast<unsigned>(shards_.size());
-  for (const auto& sp : shards_)
+  for (const Shard& sh : shards_)
     s.per_worker.push_back(
-        FabricSchedulerStats::Worker{sp->active_ns, sp->barrier_wait_ns, 0, sp->rounds});
+        FabricSchedulerStats::Worker{sh.active_ns, sh.barrier_wait_ns, 0, sh.rounds});
   return s;
 }
 

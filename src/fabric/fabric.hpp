@@ -1,30 +1,35 @@
-// Sharded multi-switch fabric engine: a whole net::Topology of
-// cycle-accurate PipelinedSwitch nodes, partitioned across worker threads,
-// with a hard determinism contract -- delivered cells, drops, latencies and
-// every published metric are bit-identical at any thread count AND under
-// either execution engine.
+// Multi-switch fabric: a whole net::Topology of nodes, partitioned across
+// worker threads, with a hard determinism contract -- delivered cells,
+// drops, latencies and every published metric are bit-identical at any
+// thread count AND under either execution engine.
 //
-// Structure per node: one PipelinedSwitch, one PortBridge per incoming link
-// (ejection, next-hop head rewrite, transit/injection mux -- see
-// src/fabric/bridge.hpp), one TxTap per outgoing link, and per-node
-// Injector/Ejector endpoints. ALL inter-node links -- including those whose
-// endpoints land in the same shard -- go through the same Channel rings, so
-// the simulated wiring does not depend on the partition.
+// Every node has one runtime, whatever the transport and the engine: its
+// own sim::Engine, the transport's parts, and its ring edges. A cell node
+// (torus, ring) is one PipelinedSwitch or FastSwitch, one PortBridge per
+// incoming link (ejection, next-hop head rewrite, transit/injection mux --
+// see src/fabric/bridge.hpp), one TxTap per outgoing link, and its
+// Injector/Ejector endpoints. A wormhole node (mesh, multistage) is one
+// WormRouter (src/fabric/worm.hpp). ALL inter-node links -- including those
+// whose endpoints land on the same worker -- go through Channel rings, so
+// the simulated wiring does not depend on the partition; the fabric keeps
+// them in one list of {producer, consumer, ring} links.
 //
-// Two engines share that structure (FabricConfig::engine):
+// The two engines (FabricConfig::engine) only decide who steps which node
+// when:
 //
 //  * kBarrier -- conservative lockstep: inter-node links have
 //    `link_pipe_stages` (D >= 1) register stages, i.e. a word leaving a node
 //    cannot be observed anywhere else for at least D + 1 cycles. Each shard
-//    runs its nodes locally for a round of up to D cycles, then all shards
-//    meet at a SpinBarrier; every channel slot a shard reads during round r
-//    was written in round r-1 or earlier, so no cross-shard event can ever
-//    be missed. The barrier's last arriver samples the metrics gauges.
+//    (a list of nodes) runs each of its nodes for a round of up to D cycles,
+//    then all shards meet at a SpinBarrier; every channel slot a node reads
+//    during round r was written in round r-1 or earlier, so no cross-node
+//    event can ever be missed. The barrier's last arriver samples the
+//    metrics gauges.
 //
-//  * kDataflow -- credit-backpressured tasks: every node is its own Engine,
-//    grouped into SchedTasks run by a work-stealing Scheduler. A node whose
-//    neighbors have executed through cycle u may run to u + D (its inputs
-//    for those cycles are already in the channel rings) and to
+//  * kDataflow -- credit-backpressured tasks: nodes are grouped into
+//    SchedTasks run by a work-stealing Scheduler. A node whose neighbors
+//    have executed through cycle u may run to u + D (its inputs for those
+//    cycles are already in the channel rings) and to
 //    consumer_done + capacity - D on the output side (write credit); a task
 //    blocks only when every owned node hits one of those bounds, and is
 //    woken by the neighbor that moves it. Slow nodes no longer stall the
@@ -40,6 +45,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -255,21 +261,21 @@ class Fabric {
   bool wormhole() const { return worm_; }
   bool node_is_fast(unsigned i) const {
     PMSB_CHECK(!worm_, "wormhole fabrics have no switch nodes");
-    return nodes_[i]->fast != nullptr;
+    return nodes_[i].cell->fast != nullptr;
   }
   const PipelinedSwitch& node_switch(unsigned i) const {
     PMSB_CHECK(!worm_, "wormhole fabrics have no switch nodes");
-    PMSB_CHECK(nodes_[i]->sw != nullptr, "node runs the fast model (see node_is_fast)");
-    return *nodes_[i]->sw;
+    PMSB_CHECK(nodes_[i].cell->sw != nullptr, "node runs the fast model (see node_is_fast)");
+    return *nodes_[i].cell->sw;
   }
   const FastSwitch& node_fast_switch(unsigned i) const {
     PMSB_CHECK(!worm_, "wormhole fabrics have no switch nodes");
-    PMSB_CHECK(nodes_[i]->fast != nullptr, "node runs the cycle-accurate switch");
-    return *nodes_[i]->fast;
+    PMSB_CHECK(nodes_[i].cell->fast != nullptr, "node runs the cycle-accurate switch");
+    return *nodes_[i].cell->fast;
   }
   const WormRouter& node_router(unsigned i) const {
     PMSB_CHECK(worm_, "cell fabrics have no wormhole routers");
-    return *wrouters_[i];
+    return *nodes_[i].router;
   }
 
   /// Register live gauges (fabric.injected/delivered/dropped/backlog/
@@ -287,7 +293,7 @@ class Fabric {
 
   /// Per-node flight recorder (null unless FabricConfig::flight_recorder).
   const obs::FlightRecorder* node_flight(unsigned i) const {
-    return nodes_[i]->flight.get();
+    return worm_ ? nullptr : nodes_[i].cell->flight.get();
   }
   /// All nodes' recorders folded in node order -- deterministic at any
   /// thread count. Requires FabricConfig::flight_recorder.
@@ -312,38 +318,18 @@ class Fabric {
  private:
   explicit Fabric(const FabricConfig& cfg);
 
-  struct Node {
-    std::unique_ptr<PipelinedSwitch> sw;  ///< Exactly one of sw / fast is set.
-    std::unique_ptr<FastSwitch> fast;
-    Injector injector;
-    Ejector ejector;
-    std::uint64_t drop_no_addr = 0;
-    std::uint64_t drop_no_slot = 0;
-    std::uint64_t drop_out_limit = 0;
-    Subscription drop_sub;  ///< Fabric's own EventHub subscription.
-    /// Structural checking per node under PMSB_CHECK (coexists with the
-    /// drop subscription on the same hub).
-    std::unique_ptr<check::InvariantChecker> checker;
-    /// Per-stage latency breakdown (FabricConfig::flight_recorder).
-    std::unique_ptr<obs::FlightRecorder> flight;
+  /// One directed ring: `from` writes it, `to` reads it. Cell links, worm
+  /// data rings u->v and worm credit rings v->u alike -- so the dataflow
+  /// dependency graph has an edge from -> to per ring, and both of its
+  /// bounds cover both directions of a worm link.
+  struct Link {
+    unsigned from;
+    unsigned to;
+    ChannelBase* ring;
   };
 
-  struct Shard {
-    Engine engine;
-    std::vector<unsigned> node_ids;
-    std::vector<std::unique_ptr<PortBridge>> bridges;
-    std::vector<std::unique_ptr<TxTap>> taps;
-    // Telemetry, written only by the thread running this shard (the pool's
-    // wait_idle orders the writes before the main thread reads them).
-    std::uint64_t active_ns = 0;
-    std::uint64_t barrier_wait_ns = 0;
-    std::uint64_t rounds = 0;
-  };
-
-  /// One consistent snapshot of the fabric-wide gauge inputs at a round
-  /// boundary; assembled from per-node contributions by the dataflow
-  /// engine (the barrier engine reads live state instead -- everyone is
-  /// parked there).
+  /// Traffic counts of one node (or, summed, of the fabric): the inputs of
+  /// the six gauges. Cell fabrics count cells, wormhole fabrics messages.
   struct SampleFrame {
     std::uint64_t injected = 0;
     std::uint64_t delivered = 0;
@@ -352,35 +338,82 @@ class Fabric {
     std::uint64_t lat_sum = 0;
   };
 
+  /// A node's runtime, the same under both engines.
+  struct Node {
+    /// The node's own two-phase kernel. Its idle skipping stays off: it
+    /// cannot see the node's rings, so only the fabric's planners may skip.
+    Engine engine;
+
+    /// Cell transport (torus/ring) parts; null on a wormhole fabric.
+    struct Cell {
+      std::unique_ptr<PipelinedSwitch> sw;  ///< Exactly one of sw / fast is set.
+      std::unique_ptr<FastSwitch> fast;
+      std::vector<std::unique_ptr<PortBridge>> bridges;  ///< By input port.
+      std::vector<std::unique_ptr<TxTap>> taps;          ///< By output port.
+      Injector injector;
+      Ejector ejector;
+      std::uint64_t drop_no_addr = 0;
+      std::uint64_t drop_no_slot = 0;
+      std::uint64_t drop_out_limit = 0;
+      Subscription drop_sub;  ///< Fabric's own EventHub subscription.
+      /// Structural checking under PMSB_CHECK (coexists with the drop
+      /// subscription on the same hub).
+      std::unique_ptr<check::InvariantChecker> checker;
+      /// Per-stage latency breakdown (FabricConfig::flight_recorder).
+      std::unique_ptr<obs::FlightRecorder> flight;
+    };
+    std::unique_ptr<Cell> cell;
+    /// Wormhole transport; null on a cell fabric.
+    std::unique_ptr<WormRouter> router;
+
+    /// Ring edges: the links this node reads and writes (views into
+    /// Fabric::ins_ / outs_).
+    std::span<const Link> ins;
+    std::span<const Link> outs;
+    /// Cycles fully executed (== engine.now() between dataflow chunks). The
+    /// only cross-thread-written word of a node under kDataflow; everything
+    /// else is owned by whichever worker holds the node. On its own cache
+    /// line, so neighbors polling it do not contend with the node's stepping.
+    alignas(64) std::atomic<Cycle> done{0};
+  };
+
+  /// kBarrier worker: a node list plus telemetry, written every round only
+  /// by the thread running this shard (hence a cache line of its own; the
+  /// pool's wait_idle orders the writes before the main thread reads them).
+  struct alignas(64) Shard {
+    std::vector<unsigned> node_ids;
+    std::uint64_t active_ns = 0;
+    std::uint64_t barrier_wait_ns = 0;
+    std::uint64_t rounds = 0;
+  };
+
   void build();
-  void build_cells();
-  void build_worm();
-  void wire_node(unsigned v, Engine& eng, std::vector<std::unique_ptr<PortBridge>>& bridges,
-                 std::vector<std::unique_ptr<TxTap>>& taps);
-  /// Every channel ring of either transport (cell link rings, or worm data
-  /// + reverse credit rings).
-  template <typename Fn>
-  void for_each_ring(Fn&& fn) const {
-    for (const auto& ch : channels_)
-      if (ch) fn(*ch);
-    for (const auto& ch : wdata_)
-      if (ch) fn(*ch);
-    for (const auto& ch : wcredit_)
-      if (ch) fn(*ch);
-  }
+  /// Create node v's transport parts and endpoints.
+  void make_node(unsigned v, double load);
+  /// Add node v's components to its engine; a cell node also gets its
+  /// bridges and taps on the rings in `cell_rings` ([node * ports_ + port]).
+  void wire_node(unsigned v, const std::vector<Channel*>& cell_rings);
+  template <typename RingT>
+  RingT* add_ring(unsigned from, unsigned to);
+  /// Contiguous node blocks, one per part (any fixed partition yields
+  /// identical results; contiguity keeps neighbors together).
+  std::vector<std::vector<unsigned>> node_blocks(unsigned parts) const;
+  /// The worker pool, built on first use.
+  exp::ThreadPool& pool();
   void end_of_round();
   /// Round-granularity idle skip, run inside the barrier completion while
-  /// every worker is parked: if all shards are quiescent and all channels
+  /// every worker is parked: if all nodes are quiescent and all rings
   /// empty, advance cycles_run_ by whole rounds (sampling metrics at each
   /// boundary exactly as stepped rounds would) up to the earliest scheduled
-  /// injection, then clear the channel rings. Workers notice the jump after
-  /// the barrier and skip_to() their shard engines.
+  /// injection, then clear the rings. Workers notice the jump after the
+  /// barrier and skip_to() their nodes' engines.
   void maybe_skip();
-  std::uint64_t sum_injected() const;
-  std::uint64_t sum_delivered() const;
-  std::uint64_t sum_dropped() const;
-  std::uint64_t sum_backlog() const;
-  std::uint64_t sum_lat() const;
+  SampleFrame counts(unsigned v) const;
+  SampleFrame totals() const;
+  /// Sample the registry at `cycle` with the gauges reading `f`.
+  void publish(const SampleFrame& f, Cycle cycle);
+  /// Transit cells (cell node) or forwarded flits (worm node) relayed by v.
+  std::uint64_t relayed(unsigned v) const;
 
   // --- Dataflow engine (implementation in fabric.cpp) ---------------------
   struct Dataflow;
@@ -392,11 +425,6 @@ class Fabric {
     kCreditBlocked,  ///< Downstream ring out of credit.
     kNodeDone,       ///< Reached the run target.
   };
-  void build_dataflow(unsigned workers);
-  void build_worm_dataflow(unsigned workers);
-  /// Common dataflow tail: sampling-frame ring of `frame_ring` slots plus
-  /// the initial contiguous task partition.
-  void df_finish_build(unsigned workers, unsigned frame_ring);
   void run_dataflow(Cycle cycles);
   NodeAdvance df_advance_node(unsigned v);
   bool df_node_ready(unsigned v) const;
@@ -411,28 +439,22 @@ class Fabric {
   unsigned ports_ = 0;    ///< Router ports in use (degree, + kLocal on a worm mesh).
   unsigned workers_ = 1;  ///< Resolved worker-thread count.
   bool worm_ = false;     ///< Wormhole transport (wormhole_kind(topo)).
-  std::vector<std::unique_ptr<Node>> nodes_;        ///< Cell fabrics only.
-  std::vector<std::unique_ptr<Channel>> channels_;  ///< [node * ports_ + out_port]
-
-  // --- Wormhole transport state (worm_ == true) ---------------------------
-  /// Shared destination pattern (stateless per pick; see traffic/spec.hpp).
+  /// Shared worm destination pattern (stateless per pick; see
+  /// traffic/spec.hpp).
   std::unique_ptr<DestPattern> wdests_;
-  std::vector<std::unique_ptr<WormRouter>> wrouters_;    ///< [node]
-  std::vector<std::unique_ptr<WormChannel>> wdata_;      ///< [u * ports_ + out_port]
-  std::vector<std::unique_ptr<CreditChannel>> wcredit_;  ///< [v * ports_ + in_port]
-  /// Directed router links (u, out p) -> (v, in q); drives both the
-  /// ring wiring and the dataflow dependency edges (data u->v, credit v->u).
-  struct WormLink {
-    unsigned u, p, v, q;
-  };
-  std::vector<WormLink> wlinks_;
-  std::vector<std::unique_ptr<Shard>> shards_;      ///< kBarrier only.
-  std::unique_ptr<Dataflow> df_;                    ///< kDataflow only.
+  std::vector<std::unique_ptr<ChannelBase>> rings_;
+  std::vector<Link> links_;  ///< In wiring order.
+  std::vector<Node> nodes_;  ///< [node]; sized once, never moved.
+  /// links_ grouped by consumer / producer (backing Node::ins / outs).
+  std::vector<Link> ins_, outs_;
+  /// Dataflow write credit, min over rings of capacity() - D.
+  Cycle credit_ = kNeverWake;
+  std::vector<Shard> shards_;          ///< kBarrier only.
+  std::unique_ptr<Dataflow> df_;       ///< kDataflow only.
   std::unique_ptr<exp::ThreadPool> pool_;  ///< Lazily built when needed.
   obs::MetricsRegistry* metrics_ = nullptr;
-  /// Non-null only while the dataflow engine is inside a metrics_->sample()
-  /// call; gauge callbacks then read this boundary snapshot instead of the
-  /// (concurrently advancing) live node state.
+  /// Non-null only while publish() is inside metrics_->sample(); the gauges
+  /// read this frame, and fold totals() when sampled at any other time.
   const SampleFrame* sample_frame_ = nullptr;
   Cycle cycles_run_ = 0;
   Cycle run_target_ = 0;

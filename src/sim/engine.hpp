@@ -109,6 +109,12 @@ class CycleObserver {
 class Engine {
  public:
   void add(Component* c);
+  /// Size the component lists for `n` components up front (an engine per
+  /// fabric node makes the reallocations of many small engines add up).
+  void reserve(std::size_t n) {
+    components_.reserve(n);
+    committers_.reserve(n);
+  }
 
   /// Register a post-commit observer (not owned). With none registered the
   /// per-cycle cost is one empty-vector test, preserving the hot-path speed
@@ -185,8 +191,8 @@ class Engine {
   /// Enable/disable quiescence-based skipping for this engine. The initial
   /// value comes from PMSB_IDLE_SKIP ("0" disables; default on). Skipping
   /// never changes results -- this switch exists for A/B validation and for
-  /// embedded engines (fabric shards) whose skipping is coordinated
-  /// externally at round granularity.
+  /// embedded engines (fabric nodes) whose skipping is coordinated
+  /// externally by the fabric.
   void set_idle_skip(bool on) { idle_skip_ = on; }
   bool idle_skip() const { return idle_skip_; }
 

@@ -300,7 +300,7 @@ TEST(SwitchBasic, InvalidConfigsThrow) {
 }
 
 TEST(SwitchBasic, DescribeMentionsGeometry) {
-  const std::string d = telegraphos3().describe();
+  const std::string d = SwitchConfig::telegraphos3().describe();
   EXPECT_NE(d.find("8x8"), std::string::npos);
   EXPECT_NE(d.find("16 stages"), std::string::npos);
 }
@@ -320,17 +320,17 @@ TEST(SwitchConfigHelpers, GeometryArithmetic) {
 }
 
 TEST(SwitchConfigHelpers, TelegraphosFactoriesMatchThePaper) {
-  const SwitchConfig t1 = telegraphos1();
+  const SwitchConfig t1 = SwitchConfig::telegraphos1();
   EXPECT_EQ(t1.n_ports, 4u);
   EXPECT_EQ(t1.word_bits, 8u);                     // 8 bits per clock per link.
   EXPECT_EQ(t1.cell_words * t1.word_bits, 64u);    // 8-byte packets.
   EXPECT_NEAR(t1.link_mbps(), 107.0, 1.0);         // 13.3 MHz x 8 b.
 
-  const SwitchConfig t2 = telegraphos2();
+  const SwitchConfig t2 = SwitchConfig::telegraphos2();
   EXPECT_EQ(t2.cell_words * t2.word_bits, 128u);   // 16-byte packets.
   EXPECT_NEAR(t2.link_mbps(), 400.0, 1.0);         // 16 b / 40 ns.
 
-  const SwitchConfig t3 = telegraphos3();
+  const SwitchConfig t3 = SwitchConfig::telegraphos3();
   EXPECT_EQ(t3.stages(), 16u);
   EXPECT_EQ(t3.capacity_cells(), 256u);            // 256 packets of 256 bits.
   EXPECT_EQ(t3.capacity_segments * t3.stages() * t3.word_bits, 65536u);  // 64 Kbit.
