@@ -1,7 +1,8 @@
 // Simulator micro-benchmarks (google-benchmark): cycles/second of the
-// cycle-accurate switches and slots/second of the behavioural models. Not a
-// paper experiment -- this documents the cost of running the reproduction
-// itself and guards against performance regressions in the kernel.
+// cycle-accurate switches, slots/second of the behavioural models and
+// router-cycles/second of the wormhole router. Not a paper experiment --
+// this documents the cost of running the reproduction itself and guards
+// against performance regressions in the kernel.
 //
 // Unlike stock BENCHMARK_MAIN(), main() installs a capturing reporter and
 // publishes every benchmark's items/second into BENCH_sim_speed.json, so CI
@@ -25,6 +26,8 @@
 #include "core/output_row.hpp"
 #include "core/pipelined_memory.hpp"
 #include "core/testbench.hpp"
+#include "fabric/fabric.hpp"
+#include "net/topology.hpp"
 
 namespace pmsb {
 namespace {
@@ -214,6 +217,26 @@ void BM_SharedBufferSlots(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SharedBufferSlots);
+
+/// The wormhole router's own cost: a 32-endpoint banyan of 80 WormRouters
+/// (4 lanes, D = 1, hot senders -- the perfbench banyan32_hotsenders
+/// fabric) on one worker, so no synchronisation enters: the time is the
+/// routers' VC allocation, switch arbitration and flit movement plus the
+/// engine's per-node stepping. Items are router-cycles.
+void BM_WormRouterCycles(benchmark::State& state) {
+  fabric::FabricConfig cfg;
+  cfg.topo = net::Topology{net::TopologyKind::kBanyan, 32, 1};
+  cfg.link_pipe_stages = 1;
+  cfg.threads = 1;
+  cfg.lanes = 4;
+  cfg.traffic = "hotsenders:0.25,0.95";
+  const auto fab = fabric::Fabric::build(cfg.topo, cfg);
+  fab->run(1000);  // Past the fill transient.
+  for (auto _ : state) fab->run(1000);
+  benchmark::DoNotOptimize(fab->stats().delivered);
+  state.SetItemsProcessed(state.iterations() * 1000 * fab->nodes());
+}
+BENCHMARK(BM_WormRouterCycles);
 
 /// ConsoleReporter that additionally records each run's items/second (and
 /// an item count estimate) for the JSON artifact.

@@ -1,10 +1,31 @@
 #include "fabric/worm.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "check/invariants.hpp"
 
 namespace pmsb::fabric {
+
+namespace {
+
+/// The set bits of `mask` in circular order from bit `start` (bits >= start
+/// ascending, then the bits below it): the first one `take` accepts, or -1.
+/// `start` is a lane index, so the shift stays below 32.
+template <class Take>
+int first_from(std::uint32_t mask, unsigned start, Take take) {
+  const std::uint32_t hi = mask & (~0u << start);
+  for (std::uint32_t m : {hi, mask ^ hi})
+    for (; m != 0; m &= m - 1) {
+      const auto b = static_cast<unsigned>(std::countr_zero(m));
+      if (take(b)) return static_cast<int>(b);
+    }
+  return -1;
+}
+
+constexpr auto kAny = [](unsigned) { return true; };
+
+}  // namespace
 
 WormRouter::WormRouter(const net::Topology* topo, unsigned node, const WormParams& params,
                        DestPattern* dests)
@@ -18,20 +39,22 @@ WormRouter::WormRouter(const net::Topology* topo, unsigned node, const WormParam
   ports_ = direct_ ? net::kNumPorts : topo->required_ports();
   last_stage_ = !direct_ && topo->stage_of(node) + 1 == topo->stages();
   const std::size_t pl = static_cast<std::size_t>(ports_) * params_.lanes;
+  lane_mask_ = params_.lanes == 32 ? ~0u : (1u << params_.lanes) - 1;
   rx_.resize(ports_, nullptr);
   credit_tx_.resize(ports_, nullptr);
   tx_.resize(ports_, nullptr);
   credit_rx_.resize(ports_, nullptr);
+  slots_.resize(pl * params_.lane_depth);
   fifo_.resize(pl);
-  in_state_.resize(pl);
   out_lane_.resize(pl);
   for (OutLane& ol : out_lane_) ol.credits = params_.lane_depth;
+  cand_.resize(static_cast<std::size_t>(ports_) * ports_, 0);
+  bound_.resize(ports_, 0);
+  owned_.resize(ports_, 0);
   rr_alloc_.resize(ports_, 0);
   rr_lane_.resize(ports_, 0);
   rr_sw_.resize(ports_, 0);
-  src_rr_.resize(ports_, 0);
-  popped_.resize(pl, false);
-  credit_mask_.resize(ports_, 0);
+  popped_.resize(ports_, 0);
   sources_.resize(ports_);
   sinks_.resize(ports_);
   if (check::env_enabled())
@@ -75,12 +98,32 @@ void WormRouter::add_sink(unsigned out_port, unsigned endpoint) {
 }
 
 void WormRouter::push_flit(unsigned in_port, const WormFlit& f) {
-  auto& q = fifo_[li(in_port, f.lane)];
-  q.push_back(f);
+  const std::size_t idx = li(in_port, f.lane);
+  LaneFifo& q = fifo_[idx];
+  const unsigned len = ++q.len;
   ++flits_in_total_;
-  PMSB_CHECK(q.size() <= params_.lane_depth, "worm lane overflow (credit protocol broken)");
+  ++held_;
+  PMSB_CHECK(len <= params_.lane_depth, "worm lane overflow (credit protocol broken)");
+  unsigned slot = q.head + len - 1;
+  if (slot >= params_.lane_depth) slot -= params_.lane_depth;
+  slots_[idx * params_.lane_depth + slot] = f;
+  if (len == 1) expose(in_port, f.lane);
   if (auditor_ != nullptr)
-    auditor_->on_push(in_port, f.lane, f.head, f.tail, f.msg, f.seq, q.size());
+    auditor_->on_push(in_port, f.lane, f.head, f.tail, f.msg, f.seq, len);
+}
+
+/// The front of FIFO (in, lane) may have changed: an unbound head there is
+/// routed, once, and becomes a VC-allocation candidate at its output.
+void WormRouter::expose(unsigned in, unsigned lane) {
+  const std::size_t idx = li(in, lane);
+  const LaneFifo& q = fifo_[idx];
+  if (q.len == 0 || (bound_[in] >> lane & 1u) != 0) return;
+  const WormFlit& f = slots_[idx * params_.lane_depth + q.head];
+  if (!f.head) return;
+  const unsigned out =
+      direct_ ? topo_->route_xy(node_, f.dest) : topo_->route_stage(node_, in, f.dest);
+  PMSB_CHECK(out < ports_, "worm head routed to a port the router does not have");
+  cand_[static_cast<std::size_t>(out) * ports_ + in] |= 1u << lane;
 }
 
 void WormRouter::source_prime(Source& s, Cycle from) {
@@ -108,110 +151,106 @@ void WormRouter::source_step(Source& s, Cycle t) {
   // lane streams one message head..tail at a time, so the per-lane
   // contiguity invariant holds by construction.
   while (!s.backlog.empty()) {
-    unsigned pick = params_.lanes;
-    for (unsigned i = 0; i < params_.lanes; ++i) {
-      const unsigned l = params_.alloc == WormAlloc::kRoundRobin
-                             ? (src_rr_[s.in_port] + i) % params_.lanes
-                             : i;
-      if (!s.worms[l].active) {
-        pick = l;
-        break;
-      }
-    }
-    if (pick == params_.lanes) break;  // every lane mid-message
-    src_rr_[s.in_port] = (pick + 1) % params_.lanes;
+    const std::uint32_t idle = lane_mask_ & ~s.active;
+    if (idle == 0) break;  // every lane mid-message
+    const auto pick = static_cast<unsigned>(first_from(idle, start(s.pick_rr), kAny));
+    s.pick_rr = next_lane(pick);
     const Source::Pending& p = s.backlog.front();
-    s.worms[pick] = Source::Worm{true, 0, p.dest, p.msg, p.created};
+    s.worms[pick] = Source::Worm{0, p.dest, p.msg, p.created};
+    s.active |= 1u << pick;
     s.backlog.pop_front();
   }
   // Emit at most one flit this cycle (the injection link rate), rotating
   // across lanes whose worm is active and whose FIFO has room.
-  for (unsigned i = 0; i < params_.lanes; ++i) {
-    const unsigned l = params_.alloc == WormAlloc::kRoundRobin
-                           ? (s.emit_rr + i) % params_.lanes
-                           : i;
-    Source::Worm& w = s.worms[l];
-    if (!w.active || fifo_[li(s.in_port, l)].size() >= params_.lane_depth) continue;
-    WormFlit f;
-    f.valid = true;
-    f.head = w.seq == 0;
-    f.tail = w.seq + 1 == params_.message_flits;
-    f.lane = static_cast<std::uint8_t>(l);
-    f.dest = static_cast<std::uint16_t>(w.dest);
-    f.seq = w.seq;
-    f.msg = w.msg;
-    f.created = w.created;
-    f.data = worm_payload(w.msg, w.seq);
-    push_flit(s.in_port, f);
-    if (f.tail)
-      w.active = false;
-    else
-      ++w.seq;
-    s.emit_rr = (l + 1) % params_.lanes;
-    break;
-  }
+  const int won = first_from(s.active, start(s.emit_rr), [&](unsigned l) {
+    return fifo_[li(s.in_port, l)].len < params_.lane_depth;
+  });
+  if (won < 0) return;
+  const auto l = static_cast<unsigned>(won);
+  Source::Worm& w = s.worms[l];
+  WormFlit f;
+  f.valid = true;
+  f.head = w.seq == 0;
+  f.tail = w.seq + 1 == params_.message_flits;
+  f.lane = static_cast<std::uint8_t>(l);
+  f.dest = static_cast<std::uint16_t>(w.dest);
+  f.seq = w.seq;
+  f.msg = w.msg;
+  f.created = w.created;
+  f.data = worm_payload(w.msg, w.seq);
+  push_flit(s.in_port, f);
+  if (f.tail)
+    s.active &= ~(1u << l);
+  else
+    ++w.seq;
+  s.emit_rr = next_lane(l);
 }
 
-void WormRouter::alloc_lane(unsigned out, Cycle t) {
-  (void)t;
-  const unsigned pl = ports_ * params_.lanes;
-  // Find the first (input, lane) whose queued head flit wants this output
-  // and is not yet bound, rotating priority across eval cycles.
-  for (unsigned i = 0; i < pl; ++i) {
-    const unsigned idx = params_.alloc == WormAlloc::kRoundRobin ? (rr_alloc_[out] + i) % pl : i;
-    const auto& q = fifo_[idx];
-    if (q.empty() || !q.front().head || in_state_[idx].active) continue;
-    const unsigned in = idx / params_.lanes;
-    const unsigned want = direct_ ? topo_->route_xy(node_, q.front().dest)
-                                  : topo_->route_stage(node_, in, q.front().dest);
-    if (want != out) continue;
-    // Grant a free output lane by the same policy.
-    unsigned grant = params_.lanes;
-    for (unsigned j = 0; j < params_.lanes; ++j) {
-      const unsigned ol = params_.alloc == WormAlloc::kRoundRobin
-                              ? (rr_lane_[out] + j) % params_.lanes
-                              : j;
-      if (!out_lane_[li(out, ol)].owned) {
-        grant = ol;
-        break;
-      }
-    }
-    if (grant == params_.lanes) return;  // no free output lane this cycle
-    OutLane& ol = out_lane_[li(out, grant)];
-    ol.owned = true;
-    ol.in = in;
-    ol.in_lane = idx % params_.lanes;
-    in_state_[idx] = InState{true, out, grant};
-    rr_alloc_[out] = (idx + 1) % pl;
-    rr_lane_[out] = (grant + 1) % params_.lanes;
-    return;  // at most one binding per output per cycle
+void WormRouter::alloc_lane(unsigned out) {
+  // The first candidate (input, lane) in flattened order from the rotating
+  // start: the start input's lanes from the start lane up, the following
+  // inputs' lanes, then the start input's lanes below the start lane.
+  std::uint32_t* cand = &cand_[static_cast<std::size_t>(out) * ports_];
+  const unsigned s = start(rr_alloc_[out]);
+  const std::uint32_t below = ~(~0u << (s & 31u));
+  unsigned in = s >> 5;
+  std::uint32_t m = cand[in] & ~below;
+  for (unsigned k = 1; m == 0 && k <= ports_; ++k) {
+    in = in + 1 == ports_ ? 0 : in + 1;
+    m = cand[in] & (k == ports_ ? below : ~0u);
   }
+  if (m == 0) return;
+  // Grant a free output lane by the same policy; with none free the first
+  // candidate waits and nothing is bound this cycle.
+  const std::uint32_t free = lane_mask_ & ~owned_[out];
+  if (free == 0) return;
+  const auto lane = static_cast<unsigned>(std::countr_zero(m));
+  const auto grant = static_cast<unsigned>(first_from(free, start(rr_lane_[out]), kAny));
+  owned_[out] |= 1u << grant;
+  bound_[in] |= 1u << lane;
+  cand[in] &= ~(1u << lane);
+  OutLane& ol = out_lane_[li(out, grant)];
+  ol.in = in;
+  ol.in_lane = lane;
+  if (lane + 1 < params_.lanes)
+    rr_alloc_[out] = (in << 5) | (lane + 1);
+  else
+    rr_alloc_[out] = in + 1 == ports_ ? 0 : (in + 1) << 5;
+  rr_lane_[out] = next_lane(grant);
 }
 
 void WormRouter::arbitrate(unsigned out, Cycle t) {
   const bool egress = tx_[out] == nullptr;
+  OutLane* lanes = &out_lane_[li(out, 0)];
+  // The first owned output lane from the rotating start that has a credit
+  // (or delivers locally) and whose input lane has a flit not yet popped
+  // this cycle.
+  const int won = first_from(owned_[out], start(rr_sw_[out]), [&](unsigned l) {
+    const OutLane& ol = lanes[l];
+    return (egress || ol.credits != 0) && fifo_[li(ol.in, ol.in_lane)].len != 0 &&
+           (popped_[ol.in] >> ol.in_lane & 1u) == 0;
+  });
   WormFlit sent;  // invalid unless a lane wins
-  for (unsigned j = 0; j < params_.lanes; ++j) {
-    const unsigned ol_idx = params_.alloc == WormAlloc::kRoundRobin
-                                ? (rr_sw_[out] + j) % params_.lanes
-                                : j;
-    OutLane& ol = out_lane_[li(out, ol_idx)];
-    if (!ol.owned) continue;
-    if (!egress && ol.credits == 0) continue;
+  if (won >= 0) {
+    const auto l = static_cast<unsigned>(won);
+    OutLane& ol = lanes[l];
     const std::size_t src = li(ol.in, ol.in_lane);
-    auto& q = fifo_[src];
-    if (q.empty() || popped_[src]) continue;
-    WormFlit f = q.front();
-    q.pop_front();
-    popped_[src] = true;
-    if (credit_tx_[ol.in] != nullptr) credit_mask_[ol.in] |= 1u << ol.in_lane;
-    f.lane = static_cast<std::uint8_t>(ol_idx);
+    LaneFifo& q = fifo_[src];
+    WormFlit f = slots_[src * params_.lane_depth + q.head];
+    q.head = q.head + 1 == params_.lane_depth ? 0 : q.head + 1;
+    --q.len;
+    --held_;
+    popped_[ol.in] |= 1u << ol.in_lane;
+    f.lane = static_cast<std::uint8_t>(l);
     if (!egress) --ol.credits;
     if (f.tail) {
-      in_state_[src] = InState{};
-      ol.owned = false;
+      // Unbind; the next message's head, if queued, now competes for
+      // allocation at later outputs this very cycle.
+      owned_[out] &= ~(1u << l);
+      bound_[ol.in] &= ~(1u << ol.in_lane);
+      expose(ol.in, ol.in_lane);
     }
-    rr_sw_[out] = (ol_idx + 1) % params_.lanes;
+    rr_sw_[out] = next_lane(l);
     ++flits_out_total_;
     if (egress) {
       deliver(*sinks_[out], f, t);
@@ -219,7 +258,6 @@ void WormRouter::arbitrate(unsigned out, Cycle t) {
       sent = f;
       ++flits_forwarded_;
     }
-    break;  // one flit per output per cycle
   }
   if (!egress) tx_[out]->write(t, sent);
 }
@@ -251,7 +289,6 @@ void WormRouter::deliver(Sink& sink, const WormFlit& f, Cycle t) {
 }
 
 void WormRouter::eval(Cycle t) {
-  std::fill(popped_.begin(), popped_.end(), false);
   // 1. Accept at most one flit per link input.
   for (unsigned in = 0; in < ports_; ++in) {
     if (rx_[in] == nullptr) continue;
@@ -263,8 +300,8 @@ void WormRouter::eval(Cycle t) {
     if (credit_rx_[out] == nullptr) continue;
     const CreditPulse& p = credit_rx_[out]->read(t);
     if (!p.valid) continue;
-    for (unsigned l = 0; l < params_.lanes; ++l) {
-      if ((p.mask & (1u << l)) == 0) continue;
+    for (std::uint32_t m = p.mask & lane_mask_; m != 0; m &= m - 1) {
+      const auto l = static_cast<unsigned>(std::countr_zero(m));
       OutLane& ol = out_lane_[li(out, l)];
       ++ol.credits;
       PMSB_CHECK(ol.credits <= params_.lane_depth, "worm credit overflow");
@@ -278,30 +315,26 @@ void WormRouter::eval(Cycle t) {
   // written every cycle (invalid when no lane wins), like the cell fabrics'
   // TxTap, so skipped stretches are compensated by ring clears alone.
   for (unsigned out = 0; out < ports_; ++out) {
-    alloc_lane(out, t);
+    alloc_lane(out);
     arbitrate(out, t);
   }
-  // 5. Return credits upstream, one aggregated pulse per input per cycle.
+  // 5. Return credits upstream, one aggregated pulse per input per cycle:
+  // the lanes popped this cycle.
   for (unsigned in = 0; in < ports_; ++in) {
-    if (credit_tx_[in] == nullptr) continue;
-    credit_tx_[in]->write(t, CreditPulse{credit_mask_[in] != 0, credit_mask_[in]});
-    credit_mask_[in] = 0;
+    if (credit_tx_[in] != nullptr)
+      credit_tx_[in]->write(t, CreditPulse{popped_[in] != 0, popped_[in]});
+    popped_[in] = 0;
   }
   if (auditor_ != nullptr)
     auditor_->on_cycle_end(flits_in_total_, flits_out_total_, flits_held());
 }
 
 bool WormRouter::is_quiescent(Cycle) const {
-  for (const auto& q : fifo_)
-    if (!q.empty()) return false;
-  for (const OutLane& ol : out_lane_)
-    if (ol.owned) return false;
-  for (const auto& s : sources_) {
-    if (s == nullptr) continue;
-    if (!s->backlog.empty()) return false;
-    for (const Source::Worm& w : s->worms)
-      if (w.active) return false;
-  }
+  if (held_ != 0) return false;
+  for (const std::uint32_t o : owned_)
+    if (o != 0) return false;
+  for (const auto& s : sources_)
+    if (s != nullptr && (!s->backlog.empty() || s->active != 0)) return false;
   return true;
 }
 
@@ -321,8 +354,7 @@ std::string WormRouter::name() const {
 WormRouter::SourceStats WormRouter::source_stats(unsigned in_port) const {
   PMSB_CHECK(sources_[in_port] != nullptr, "no worm source on this input");
   const Source& s = *sources_[in_port];
-  std::size_t streaming = 0;
-  for (const Source::Worm& w : s.worms) streaming += w.active ? 1 : 0;
+  const auto streaming = static_cast<std::size_t>(std::popcount(s.active));
   return SourceStats{s.generated, s.backlog.size() + streaming};
 }
 
@@ -337,12 +369,6 @@ WormRouter::SinkStats WormRouter::sink_stats(unsigned out_port) const {
   st.lat_sum = k.lat_sum;
   st.lat_hist = &k.lat_hist;
   return st;
-}
-
-std::uint64_t WormRouter::flits_held() const {
-  std::uint64_t held = 0;
-  for (const auto& q : fifo_) held += q.size();
-  return held;
 }
 
 }  // namespace pmsb::fabric

@@ -33,6 +33,16 @@
 //    to stage s + 1), and XY routing on a mesh never turns from Y back to X.
 //    Lanes buy throughput under head-of-line blocking, not deadlock freedom.
 //
+// Per-cycle work scales with the lanes that hold something. Each (input,
+// lane) FIFO is a ring of `lane_depth` slots in one flat array. A head is
+// routed once, on reaching the front of its FIFO, and sets its lane's bit
+// in the candidate mask cand_[out][in]; owned_[out] marks bound output
+// lanes (its complement is the free-lane mask). Every round-robin pick --
+// VC allocation, lane grant, switch arbitration, source lane pick and
+// emission -- takes countr_zero of a mask rotated to its start, which
+// visits lanes in the circular index order of a per-index scan
+// (DESIGN.md "Wormhole fabrics").
+//
 // Endpoints sit on the extra kLocal port of every mesh node, or on the
 // first-stage inputs / last-stage outputs of a multistage network. Each
 // ingress owns a Source (Bernoulli message arrivals at
@@ -163,7 +173,7 @@ class WormRouter : public Component {
   /// Flits relayed onto router-to-router links (the telemetry work measure).
   std::uint64_t flits_forwarded() const { return flits_forwarded_; }
   /// Flits currently buffered across all lane FIFOs.
-  std::uint64_t flits_held() const;
+  std::uint64_t flits_held() const { return held_; }
 
  private:
   struct Source {
@@ -190,14 +200,15 @@ class WormRouter : public Component {
     // let one stalled hot-destined message head-of-line-block the whole
     // source, and extra lanes could never raise hotspot throughput.
     struct Worm {
-      bool active = false;
       std::uint32_t seq = 0;
       unsigned dest = 0;
       std::uint64_t msg = 0;
       Cycle created = 0;
     };
     std::vector<Worm> worms;  ///< [lane]
-    unsigned emit_rr = 0;     ///< Rotating emission start lane.
+    std::uint32_t active = 0;  ///< Lanes whose worm is streaming.
+    unsigned pick_rr = 0;      ///< Rotating lane-pick start.
+    unsigned emit_rr = 0;      ///< Rotating emission start lane.
   };
 
   struct Sink {
@@ -218,16 +229,15 @@ class WormRouter : public Component {
     HdrHistogram lat_hist;
   };
 
-  /// Binding of an (input, lane) to the output it is streaming through.
-  struct InState {
-    bool active = false;
-    unsigned out = 0;
-    unsigned out_lane = 0;
+  /// One (input, lane) FIFO: a ring of lane_depth slots in slots_.
+  struct LaneFifo {
+    unsigned head = 0;  ///< Slot of the front flit.
+    unsigned len = 0;
   };
 
-  /// One outgoing virtual channel of an output port.
+  /// One outgoing virtual channel of an output port; `in`/`in_lane` name
+  /// the input lane bound to it while its bit is set in owned_.
   struct OutLane {
-    bool owned = false;
     unsigned in = 0;
     unsigned in_lane = 0;
     unsigned credits = 0;
@@ -236,10 +246,17 @@ class WormRouter : public Component {
   std::size_t li(unsigned port, unsigned lane) const {
     return static_cast<std::size_t>(port) * params_.lanes + lane;
   }
+  /// Round-robin start under kRoundRobin, 0 (lowest index first) otherwise.
+  unsigned start(unsigned rr) const {
+    return params_.alloc == WormAlloc::kRoundRobin ? rr : 0;
+  }
+  /// Lane after `l`, wrapping to 0.
+  unsigned next_lane(unsigned l) const { return l + 1 == params_.lanes ? 0 : l + 1; }
   void push_flit(unsigned in_port, const WormFlit& f);
+  void expose(unsigned in, unsigned lane);
   void source_step(Source& s, Cycle t);
   void source_prime(Source& s, Cycle from);
-  void alloc_lane(unsigned out, Cycle t);
+  void alloc_lane(unsigned out);
   void arbitrate(unsigned out, Cycle t);
   void deliver(Sink& sink, const WormFlit& f, Cycle t);
 
@@ -256,21 +273,27 @@ class WormRouter : public Component {
   std::vector<WormChannel*> tx_;            ///< [out_port], null at egress.
   std::vector<const CreditChannel*> credit_rx_;  ///< [out_port], null at egress.
 
-  std::vector<std::deque<WormFlit>> fifo_;  ///< [li(in, lane)]
-  std::vector<InState> in_state_;           ///< [li(in, lane)]
-  std::vector<OutLane> out_lane_;           ///< [li(out, lane)]
-  std::vector<unsigned> rr_alloc_;  ///< Per-output VC-allocation scan start.
+  std::uint32_t lane_mask_ = 0;        ///< Bits 0..lanes-1.
+  std::vector<WormFlit> slots_;        ///< [li(in, lane) * lane_depth + slot]
+  std::vector<LaneFifo> fifo_;         ///< [li(in, lane)]
+  std::vector<OutLane> out_lane_;      ///< [li(out, lane)]
+  /// [out * ports + in]: lanes of `in` whose front flit is an unbound head
+  /// routed to `out` -- the VC-allocation candidates.
+  std::vector<std::uint32_t> cand_;
+  std::vector<std::uint32_t> bound_;   ///< [in] lanes bound to an output lane.
+  std::vector<std::uint32_t> owned_;   ///< [out] lanes bound to an input lane.
+  /// [out] VC-allocation scan start, as (input << 5) | lane.
+  std::vector<unsigned> rr_alloc_;
   std::vector<unsigned> rr_lane_;   ///< Per-output free-lane grant start.
   std::vector<unsigned> rr_sw_;     ///< Per-output switch-arbiter scan start.
-  std::vector<unsigned> src_rr_;    ///< Per-input source lane-pick start.
 
-  /// Lanes popped during the current eval: blocks a second pop from the
-  /// same lane (one flit per lane per cycle) and keeps the OR-ed credit
-  /// mask exact -- without it, a tail popped at one output and the next
-  /// message's head popped at another output in the same cycle would merge
-  /// into a single credit bit and leak a credit.
-  std::vector<bool> popped_;                ///< [li(in, lane)], eval scratch.
-  std::vector<std::uint32_t> credit_mask_;  ///< [in_port], eval scratch.
+  /// [in] lanes popped during the current eval, which is also the credit
+  /// pulse sent upstream at its end. It blocks a second pop from the same
+  /// lane (one flit per lane per cycle) and keeps the credit mask exact --
+  /// without it, a tail popped at one output and the next message's head
+  /// popped at another output in the same cycle would merge into a single
+  /// credit bit and leak a credit.
+  std::vector<std::uint32_t> popped_;
 
   std::vector<std::unique_ptr<Source>> sources_;  ///< [in_port]
   std::vector<std::unique_ptr<Sink>> sinks_;      ///< [out_port]
@@ -278,6 +301,7 @@ class WormRouter : public Component {
   std::uint64_t flits_in_total_ = 0;   ///< Accepted off links + injected.
   std::uint64_t flits_out_total_ = 0;  ///< Forwarded + delivered.
   std::uint64_t flits_forwarded_ = 0;  ///< Forwarded onto router-to-router links.
+  std::uint64_t held_ = 0;             ///< Flits buffered in lane FIFOs.
 
   std::unique_ptr<check::WormAuditor> auditor_;  ///< Non-null under PMSB_CHECK=1.
 };

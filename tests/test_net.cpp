@@ -278,6 +278,114 @@ TEST(Router, LanesSerializeIndependentMessages) {
   EXPECT_TRUE(c.r->is_quiescent(c.t));  // Tails released both lanes.
 }
 
+TEST(Router, SingleFlitTailExposesNextHeadSameCycle) {
+  // One lane, 1-flit messages (head = tail). A waits in the west FIFO for an
+  // east credit while B, bound south, queues behind it. Popping A frees the
+  // lane and exposes B to the south output's allocation in that same cycle
+  // (south = 3 is allocated after east = 0), but B's lane has already
+  // popped once this cycle, so B leaves next cycle. C, from the east input
+  // (index 0, first in the round-robin scan), wants south from that next
+  // cycle on and must find the lane taken: with B exposed a cycle late, C
+  // would win the allocation and overtake it.
+  CentreRouter c(/*lanes=*/1, /*lane_depth=*/2, /*message_flits=*/1);
+  c.echo = false;
+  c.feed[kWest] = CentreRouter::flit(1, 0, 1, 5);  // X1 east: credits 2 -> 1
+  c.step();
+  c.feed[kWest] = CentreRouter::flit(2, 0, 1, 5);  // X2 east: credits 1 -> 0
+  c.step();
+  c.feed[kWest] = CentreRouter::flit(3, 0, 1, 5);  // A east: no credit, waits
+  c.step();
+  c.feed[kWest] = CentreRouter::flit(4, 0, 1, 7);  // B south, behind A
+  c.step();
+  EXPECT_EQ(c.sent[kEast].size(), 2u);
+  EXPECT_EQ(c.r->flits_held(), 2u);
+  c.grant[kEast] = 1u;  // One east credit: A pops on the next eval.
+  c.step();
+  c.feed[kEast] = CentreRouter::flit(5, 0, 1, 7);  // C south
+  c.step();
+  ASSERT_EQ(c.sent[kEast].size(), 3u);
+  EXPECT_EQ(c.sent[kEast][2].msg, 3u);
+  ASSERT_EQ(c.sent[kSouth].size(), 1u);  // B, the cycle after A.
+  EXPECT_EQ(c.sent[kSouth][0].msg, 4u);
+  c.step();
+  ASSERT_EQ(c.sent[kSouth].size(), 2u);
+  EXPECT_EQ(c.sent[kSouth][1].msg, 5u);
+  EXPECT_TRUE(c.r->is_quiescent(c.t));
+}
+
+TEST(Router, LaneDepthOneStreamsUnderCredits) {
+  // Two lanes of one slot each: the upstream side feeds a west lane only
+  // while it holds that lane's credit, so every flit passes through the
+  // same single slot. Both 3-flit messages reach the east link whole, in
+  // order, on distinct lanes, and every pop pulses exactly one credit back.
+  CentreRouter c(/*lanes=*/2, /*lane_depth=*/1, /*message_flits=*/3);
+  unsigned credits[2] = {1, 1};
+  std::uint32_t next_seq[2] = {0, 0};
+  unsigned returned = 0;
+  for (int i = 0; i < 40; ++i) {
+    for (unsigned lane = 0; lane < 2 && !c.feed[kWest].valid; ++lane) {
+      if (credits[lane] == 0 || next_seq[lane] == 3) continue;
+      c.feed[kWest] = CentreRouter::flit(10 + lane, next_seq[lane]++, 3, 5, lane);
+      --credits[lane];
+    }
+    c.step();
+    EXPECT_LE(c.r->flits_held(), 2u);
+    const CreditPulse& p = c.credit_up[kWest]->read(c.t + 1);
+    if (!p.valid) continue;
+    for (unsigned lane = 0; lane < 2; ++lane) {
+      if ((p.mask >> lane & 1u) == 0) continue;
+      ++credits[lane];
+      ++returned;
+    }
+  }
+  EXPECT_EQ(returned, 6u);
+  const std::vector<WormFlit>& east = c.sent[kEast];
+  ASSERT_EQ(east.size(), 6u);
+  std::uint32_t seen[2] = {0, 0};
+  unsigned lane_of[2] = {0, 0};
+  for (const WormFlit& f : east) {
+    const auto m = static_cast<unsigned>(f.msg - 10);
+    ASSERT_LT(m, 2u);
+    if (f.head) lane_of[m] = f.lane;
+    EXPECT_EQ(f.lane, lane_of[m]);
+    EXPECT_EQ(f.seq, seen[m]++);
+    EXPECT_EQ(f.data, fabric::worm_payload(f.msg, f.seq));
+  }
+  EXPECT_NE(lane_of[0], lane_of[1]);  // The messages overlap in time.
+  EXPECT_TRUE(c.r->is_quiescent(c.t));
+}
+
+TEST(Router, BoundLaneWithEmptyFifoKeepsItsOutput) {
+  // The west message's head wins the only east lane and leaves; its body
+  // arrives only later, so the west lane stays bound with an empty FIFO.
+  // The north message queued meanwhile must not take the east lane, and the
+  // router must not report quiescence while the binding stands.
+  CentreRouter c(/*lanes=*/1, /*lane_depth=*/4, /*message_flits=*/3);
+  c.feed[kWest] = CentreRouter::flit(1, 0, 3, 5);
+  c.step();
+  EXPECT_EQ(c.r->flits_held(), 0u);
+  EXPECT_FALSE(c.r->is_quiescent(c.t));
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    c.feed[kNorth] = CentreRouter::flit(2, k, 3, 5);
+    c.step();
+  }
+  EXPECT_EQ(c.sent[kEast].size(), 1u);
+  EXPECT_EQ(c.r->flits_held(), 3u);
+  for (std::uint32_t k = 1; k < 3; ++k) {
+    c.feed[kWest] = CentreRouter::flit(1, k, 3, 5);
+    c.step();
+  }
+  for (int i = 0; i < 8; ++i) c.step();
+  const std::vector<WormFlit>& east = c.sent[kEast];
+  ASSERT_EQ(east.size(), 6u);
+  for (std::size_t i = 0; i < east.size(); ++i) {
+    EXPECT_EQ(east[i].msg, i < 3 ? 1u : 2u) << i;
+    EXPECT_EQ(east[i].seq, i % 3) << i;
+    EXPECT_EQ(east[i].lane, 0u) << i;
+  }
+  EXPECT_TRUE(c.r->is_quiescent(c.t));
+}
+
 // ---------------------------------------------------------------------------
 // Wormhole mesh fabrics: [Dally90]'s saturation behaviour (section 2.1)
 // ---------------------------------------------------------------------------
