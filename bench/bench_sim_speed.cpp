@@ -1,8 +1,9 @@
 // Simulator micro-benchmarks (google-benchmark): cycles/second of the
-// cycle-accurate switches, slots/second of the behavioural models and
-// router-cycles/second of the wormhole router. Not a paper experiment --
-// this documents the cost of running the reproduction itself and guards
-// against performance regressions in the kernel.
+// cycle-accurate switches, slots/second of the behavioural models,
+// router-cycles/second of the wormhole router and link-cycles/second of a
+// fabric channel. Not a paper experiment -- this documents the cost of
+// running the reproduction itself and guards against performance
+// regressions in the kernel.
 //
 // Unlike stock BENCHMARK_MAIN(), main() installs a capturing reporter and
 // publishes every benchmark's items/second into BENCH_sim_speed.json, so CI
@@ -237,6 +238,26 @@ void BM_WormRouterCycles(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000 * fab->nodes());
 }
 BENCHMARK(BM_WormRouterCycles);
+
+/// One cell-fabric link (a Flit ring, D = 4) on one thread: each cycle the
+/// producer pushes a word if the pattern sends one and the consumer pops
+/// whatever arrives. Arg = cycles between pushes: 1 is a word every cycle
+/// (dense), 16 a word every 16th (sparse). Items are link-cycles.
+void BM_ChannelPushPop(benchmark::State& state) {
+  const auto period = static_cast<Cycle>(state.range(0));
+  fabric::Channel ch(4);
+  Cycle t = 0;
+  Word received = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 1000; ++i, ++t) {
+      if (t % period == 0) ch.push(t, Flit{true, false, static_cast<Word>(t)});
+      if (const Flit* f = ch.pop(t)) received += f->data;
+    }
+  }
+  benchmark::DoNotOptimize(received);
+  state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK(BM_ChannelPushPop)->Arg(1)->Arg(16);
 
 /// ConsoleReporter that additionally records each run's items/second (and
 /// an item count estimate) for the JSON artifact.

@@ -12,7 +12,9 @@
 //  * Flit conservation per router per cycle: every flit that entered
 //    (accepted off a link or injected by a source) is either buffered in a
 //    lane FIFO or has been forwarded/delivered -- flits_in == flits_out +
-//    held, checked at the end of every eval.
+//    held, checked at the end of every eval. The router passes `held` as
+//    the sum of its lane FIFO lengths, not its running count, so a flit
+//    lost inside a FIFO breaks the identity.
 //
 // The auditor deliberately takes plain scalars (no fabric types) so the
 // check layer stays below src/fabric in the include graph.

@@ -29,7 +29,7 @@ void Ejector::deliver(std::uint64_t uid, Cycle latency, unsigned hops, bool payl
 }
 
 PortBridge::PortBridge(const net::Topology* topo, const CellCodec* codec, unsigned node,
-                       net::Port port, const Channel* rx, WireLink* in_link,
+                       net::Port port, Channel* rx, WireLink* in_link,
                        Injector* injector, Ejector* ejector)
     : topo_(topo),
       codec_(codec),
@@ -54,17 +54,16 @@ void PortBridge::eval(Cycle t) {
   if (injector_) injector_->step(t);
 
   // ---- Arrival side: the virtual wire from the upstream TxTap.
-  const Flit& f = rx_->read(t);
-  if (f.valid) {
+  if (const Flit* f = rx_->pop(t)) {
     if (!rx_active_) {
-      PMSB_CHECK(f.sop, "fabric link: body word arrived while expecting a head");
+      PMSB_CHECK(f->sop, "fabric link: body word arrived while expecting a head");
       rx_active_ = true;
       rx_phase_ = 0;
       rx_words_.clear();
     } else {
-      PMSB_CHECK(!f.sop, "fabric link: head word arrived inside a cell");
+      PMSB_CHECK(!f->sop, "fabric link: head word arrived inside a cell");
     }
-    rx_words_.push_back(f.data);
+    rx_words_.push_back(f->data);
     if (++rx_phase_ == length_) {
       rx_active_ = false;
       finish_cell(t);

@@ -5,7 +5,7 @@
 // Each directed inter-node link gets two components:
 //
 //   TxTap      (producer shard)  copies the upstream switch's out-wire into
-//                                the channel ring, one flit per cycle.
+//                                the channel, one entry per valid word.
 //   PortBridge (consumer shard)  reassembles arriving cells from the
 //                                channel, ejects the ones addressed to this
 //                                node, rewrites the head word of transit
@@ -154,17 +154,19 @@ struct Ejector {
   void deliver(std::uint64_t uid, Cycle latency, unsigned hops, bool payload_ok);
 };
 
-/// Copies the upstream switch's out-wire into the channel, making the word
-/// visible to the consumer shard `delay` cycles later.
+/// Copies each valid word on the upstream switch's out-wire into the
+/// channel, making it visible to the consumer shard `delay` cycles later.
 class TxTap : public Component {
  public:
   TxTap(WireLink* from, Channel* ch) : from_(from), ch_(ch) {}
 
-  void eval(Cycle t) override { ch_->write(t, from_->now()); }
+  void eval(Cycle t) override {
+    if (from_->now().valid) ch_->push(t, from_->now());
+  }
   void commit(Cycle) override {}
   bool has_commit() const override { return false; }
-  /// Skipping suppresses the per-cycle write of an invalid flit; the fabric
-  /// compensates by clearing the ring after a skip (Channel::clear_for_skip).
+  /// An idle out-wire pushes nothing, so skipping such a cycle changes
+  /// nothing on the channel.
   bool is_quiescent(Cycle) const override { return !from_->now().valid; }
   std::string name() const override { return "fabric_tx_tap"; }
 
@@ -177,14 +179,14 @@ class TxTap : public Component {
 class PortBridge : public Component {
  public:
   PortBridge(const net::Topology* topo, const CellCodec* codec, unsigned node,
-             net::Port port, const Channel* rx, WireLink* in_link, Injector* injector,
+             net::Port port, Channel* rx, WireLink* in_link, Injector* injector,
              Ejector* ejector);
 
   void eval(Cycle t) override;
   void commit(Cycle t) override;
   /// Quiescent when no cell is being reassembled, staged, queued, or
   /// transmitted and no injection is pending. The rx channel is NOT checked
-  /// here -- the fabric's skip planners verify Channel::idle_at() before
+  /// here -- the fabric's skip planners verify Channel::empty() before
   /// skipping (engine-local skipping stays disabled in the fabric's node
   /// engines, so these hooks are only consulted by those planners).
   bool is_quiescent(Cycle) const override {
@@ -210,7 +212,7 @@ class PortBridge : public Component {
   const CellCodec* codec_;
   unsigned node_;
   net::Port port_;
-  const Channel* rx_;
+  Channel* rx_;
   WireLink* in_link_;
   Injector* injector_;  ///< Non-null only on the node's designated bridge.
   Ejector* ejector_;

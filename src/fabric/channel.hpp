@@ -1,44 +1,59 @@
-// One directed inter-node link of the fabric: a single-writer single-reader
-// ring that reproduces sim/link_pipeline.hpp's timing without sharing any
-// mutable simulation object between shards.
+// One directed inter-node link of the fabric: a bounded single-producer
+// single-consumer queue that reproduces sim/link_pipeline.hpp's timing
+// without sharing any mutable simulation object between shards.
 //
 // A LinkPipeline with S register stages delivers the word on the upstream
 // out-wire at cycle t onto the downstream in-wire at cycle t + S + 1. The
-// fabric splits that wire at the register boundary: the producer records its
-// out-wire value into slot (t mod size) during its eval of cycle t, and the
-// consumer reads slot (t - S) during its eval of cycle t, then re-drives the
-// node's in-wire for t + 1 -- the same S + 1 total, with the consumer playing
-// the role of the last pipeline register.
+// fabric splits that wire at the register boundary: during its eval of
+// cycle t the producer pushes the out-wire's word stamped t -- only when it
+// sends one -- and the consumer, during its eval of cycle t, pops the head
+// entry iff its stamp is t - S, then re-drives the node's in-wire for t + 1
+// -- the same S + 1 total, with the consumer playing the role of the last
+// pipeline register. A cycle that sends nothing stores nothing, so a
+// stretch of cycles the fabric skips leaves nothing stale behind.
 //
-// The ring is generic over its payload (Ring<T>): the cell fabrics carry
-// whole-cell words (Channel = Ring<Flit>), the multistage wormhole fabrics
-// carry single flits with lane tags (Ring<WormFlit>) and, in the *reverse*
-// direction of every data link, per-lane credit pulses (Ring<CreditPulse>).
-// T needs a `valid` flag and a value-initialized state meaning "idle". The
-// timing/visibility contract is payload-independent:
+// The queue is generic over its payload (Ring<T>): the cell fabrics carry
+// whole-cell words (Channel = Ring<Flit>), the wormhole fabrics carry
+// single flits with lane tags (Ring<WormFlit>) and, in the *reverse*
+// direction of every data link, per-lane credit masks (Ring<uint32_t>).
 //
-//  * Barrier engine (conservative rounds): with lookahead k <= S cycles
-//    between barriers, every slot the reader touches in round r was written
-//    in round r-1 or earlier (t_read - S < r*k), and the writer stays at
-//    least size - (k + S) > 0 slots away from the oldest unread entry.
-//    Different threads therefore always address disjoint slots, and the
-//    barrier provides the happens-before edge for visibility.
+// Occupancy. Stamps are distinct (at most one push per producer cycle).
+// Let the producer be executing cycle p while the consumer has executed
+// every cycle below c. The consumer has popped every entry stamped below
+// c - S, so the queued entries are stamped in [c - S, p]: at most
+// p - c + S + 1 of them. The engines bound p - c:
+//
+//  * Barrier engine (conservative rounds of at most k <= S cycles between
+//    barriers): within a round p - c <= k - 1, so at most k + S <= 2S <
+//    capacity() entries are queued. An entry popped at cycle c is stamped
+//    c - S, below the round's first cycle, so it was pushed in an earlier
+//    round and the barrier orders the push before the pop. A push reuses
+//    the slot of an entry stamped at least capacity() >= 2S + 2 cycles
+//    earlier, which was popped at a cycle <= p - S - 2, also in an earlier
+//    round. Different threads therefore never touch one slot in a round.
 //
 //  * Dataflow engine (credit backpressure): producer and consumer publish
-//    per-node progress counters (cycles fully executed). The consumer reads
-//    slot t - S only after observing producer_done > t - S, so the write
-//    happens-before the read through the counter. The producer writes slot
-//    t mod size only while t < consumer_done + capacity() - S (its write
-//    credit), so the aliased slot t - capacity() was read strictly in the
-//    consumer's past. Same disjointness, point-to-point edges instead of a
-//    global barrier. Wormhole credit rings are ordinary rings here: a
-//    credit link v->u makes u a *downstream* of v in the dependency graph,
-//    so the same two bounds cover both directions. See
-//    src/fabric/fabric.cpp and DESIGN.md "Task-dataflow fabric" /
-//    "Multistage wormhole fabrics" for the full arguments.
+//    per-node progress counters (cycles fully executed). The consumer runs
+//    cycle c only after observing producer_done > c - S, so the entry it
+//    pops at c was pushed before that counter store. The producer runs
+//    cycle p only while p < consumer_done + capacity() - S (its write
+//    credit), so at most capacity() entries are queued, and the slot it
+//    reuses held an entry stamped <= p - capacity(), popped at a cycle
+//    <= p - capacity() + S < consumer_done: in the consumer's published
+//    past. Same disjointness, point-to-point edges instead of a global
+//    barrier. Wormhole credit rings are ordinary rings here: a credit link
+//    v->u makes u a *downstream* of v in the dependency graph, so the same
+//    two bounds cover both directions. See src/fabric/fabric.cpp and
+//    DESIGN.md "Task-dataflow fabric" / "Multistage wormhole fabrics".
+//
+// Under either engine the consumer may also see an entry pushed in its own
+// round, or beyond the producer progress it loaded: the producer fills the
+// slot before it publishes `tail` (release), and the consumer loads `tail`
+// (acquire) before it reads a slot, so such an entry is read whole -- its
+// stamp is too new, and it stays queued.
 //
 // ChannelBase is the payload-erased face the fabric's skip planners use
-// (idle_at / clear_for_skip / clear_range apply to any payload type).
+// (empty() applies to any payload type).
 
 #pragma once
 
@@ -65,86 +80,62 @@ class ChannelBase {
 
   unsigned delay() const { return delay_; }
 
-  /// Ring slots. The dataflow engine's write credit is capacity() - delay()
-  /// cycles of producer lead over the consumer.
+  /// Queue entries. The dataflow engine's write credit is capacity() -
+  /// delay() cycles of producer lead over the consumer.
   std::size_t capacity() const { return mask_ + 1; }
 
-  /// True when nothing is in flight at cycle T: every valid entry ever
-  /// written was already delivered (read cycle last_valid_ + delay < T).
-  /// Part of the fabric's global quiescence predicate (barrier engine) and
-  /// of the per-node skip predicate (dataflow engine).
-  bool idle_at(Cycle t) const {
-    return last_valid_.load(std::memory_order_relaxed) + static_cast<Cycle>(delay_) < t;
-  }
-
-  /// Cycle of the newest valid entry written (-1 before the first). Only
-  /// meaningful to a reader that has already synchronized with the
-  /// producer's progress (see idle_at / the dataflow skip predicate).
-  Cycle last_valid() const { return last_valid_.load(std::memory_order_relaxed); }
-
-  /// Invalidate all ring slots after the fabric skipped idle rounds. While
-  /// skipping, the producer's per-cycle write(t, invalid) calls do not
-  /// happen, so old entries at (t mod size) would otherwise resurface once
-  /// the skip distance exceeds the ring size. Only called while every shard
-  /// is parked (inside the barrier completion) and the channel is idle_at()
-  /// the skip origin, so no live entry is destroyed.
-  virtual void clear_for_skip() = 0;
-
-  /// Dataflow-engine skip compensation: stand in for the producer's
-  /// suppressed write(t, invalid) calls for every cycle in [from, to).
-  /// Bounded by the ring size (a longer window laps the ring and would
-  /// rewrite the same slots). The caller holds write credit for the whole
-  /// window, so these stores target slots the consumer is provably past.
-  virtual void clear_range(Cycle from, Cycle to) = 0;
+  /// True when every entry pushed has been popped. An entry still queued at
+  /// the consumer's cycle is exactly one that arrives at or after that
+  /// cycle, so an empty link delivers nothing before its next push. Part of
+  /// the fabric's global quiescence predicate (barrier engine, every node
+  /// parked) and of the consumer's own skip predicate (dataflow engine).
+  bool empty() const { return head_ == tail_.load(std::memory_order_acquire); }
 
  protected:
   unsigned delay_;
   std::size_t mask_;
-  std::atomic<Cycle> last_valid_{-1};  ///< Cycle of the newest valid entry.
+  std::size_t head_ = 0;              ///< Consumer: next entry to pop.
+  std::atomic<std::size_t> tail_{0};  ///< Producer: one past the newest entry.
 };
 
 template <typename T>
 class Ring final : public ChannelBase {
  public:
-  explicit Ring(unsigned delay) : ChannelBase(delay) { ring_.assign(capacity(), T{}); }
+  explicit Ring(unsigned delay) : ChannelBase(delay), buf_(capacity()) {}
 
-  /// Producer side: record the upstream out-wire's value during cycle t.
-  /// Exactly one writer, exactly once per producer cycle.
-  void write(Cycle t, const T& f) {
-    ring_[static_cast<std::size_t>(t) & mask_] = f;
-    // Monotonic high-water mark of valid traffic. Relaxed is enough: every
-    // cross-thread read piggybacks on a stronger edge (the barrier, or the
-    // producer's progress counter) that already orders this store.
-    if (f.valid) last_valid_.store(t, std::memory_order_relaxed);
+  /// Producer side: send `v` during cycle t. Exactly one writer, at most
+  /// once per producer cycle, in cycle order.
+  void push(Cycle t, const T& v) {
+    const std::size_t tail = tail_.load(std::memory_order_relaxed);
+    buf_[tail & mask_] = Entry{t, v};
+    tail_.store(tail + 1, std::memory_order_release);
   }
 
-  /// Consumer side: the entry that entered the channel `delay` cycles ago;
-  /// idle while the pipe is still filling.
-  const T& read(Cycle t) const {
-    if (t < static_cast<Cycle>(delay_)) return kIdle;
-    return ring_[static_cast<std::size_t>(t - delay_) & mask_];
-  }
-
-  void clear_for_skip() override {
-    for (T& f : ring_) f = T{};
-  }
-
-  void clear_range(Cycle from, Cycle to) override {
-    const Cycle window = to - from;
-    const std::size_t n = window >= static_cast<Cycle>(capacity())
-                              ? capacity()
-                              : static_cast<std::size_t>(window);
-    for (std::size_t i = 0; i < n; ++i)
-      ring_[static_cast<std::size_t>(from + static_cast<Cycle>(i)) & mask_] = T{};
+  /// Consumer side, during cycle t: the entry sent `delay` cycles ago, or
+  /// null when nothing was sent then. The entry stays intact through the
+  /// consumer's cycle t (its slot is reused only after that, see above).
+  const T* pop(Cycle t) {
+    if (empty()) return nullptr;
+    const Entry& e = buf_[head_ & mask_];
+    const Cycle due = t - static_cast<Cycle>(delay_);
+    if (e.stamp != due) {
+      PMSB_CHECK(e.stamp > due, "link entry passed its arrival cycle unread");
+      return nullptr;
+    }
+    ++head_;
+    return &e.payload;
   }
 
  private:
-  inline static const T kIdle{};
+  struct Entry {
+    Cycle stamp = 0;  ///< Producer cycle of the push.
+    T payload{};
+  };
 
-  std::vector<T> ring_;
+  std::vector<Entry> buf_;
 };
 
-/// The cell fabrics' link ring: one switch-word Flit per cycle.
+/// The cell fabrics' link: switch-word Flits, valid ones only.
 using Channel = Ring<Flit>;
 
 }  // namespace pmsb::fabric

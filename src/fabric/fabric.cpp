@@ -152,16 +152,16 @@ void FabricConfig::validate() const {
 // Node X with upstream neighbors U and downstream neighbors Y may execute
 // cycle t when
 //
-//   t <  min_U(U.done) + D            (input bound: the channel slot X reads
-//                                      at t, written at t - D, exists once
-//                                      U.done > t - D)
-//   t <  min_Y(Y.done) + capacity - D (credit bound: X's write at t lands on
-//                                      the slot aliasing cycle t - capacity,
-//                                      which Y consumed strictly before its
-//                                      current cycle)
+//   t <  min_U(U.done) + D            (input bound: the entry X pops at t,
+//                                      pushed at t - D if any, is queued
+//                                      once U.done > t - D)
+//   t <  min_Y(Y.done) + capacity - D (credit bound: X's push at t reuses
+//                                      the slot of an entry stamped
+//                                      <= t - capacity, which Y popped
+//                                      strictly before its current cycle)
 //
 // Both loads are seq_cst and every `done` store is seq_cst, which (a) gives
-// the ring writes release/acquire visibility through the counter, replacing
+// the ring pushes release/acquire visibility through the counter, replacing
 // the barrier's happens-before edge, and (b) pairs with the scheduler's
 // blocked/wake Dekker protocol (scheduler.hpp). The global minimum node is
 // always runnable (its bounds are strictly ahead of it), so the task graph
@@ -206,11 +206,11 @@ struct Fabric::Dataflow {
     }
   };
 
-  /// Accumulator for one in-flight round boundary's metric sample (see
-  /// df_contribute_sample). Reused round-robin: slot j serves boundaries
+  /// Accumulator for one in-flight grid cycle's metric sample (see
+  /// df_contribute_sample). Reused round-robin: slot j serves grid indices
   /// j, j + R, j + 2R, ... where R = frames.size().
   struct FrameSlot {
-    std::atomic<Cycle> boundary{-1};  ///< Boundary index armed, -1 inactive.
+    std::atomic<Cycle> boundary{-1};  ///< Grid index armed, -1 inactive.
     std::atomic<unsigned> remaining{0};
     std::atomic<std::uint64_t> injected{0};
     std::atomic<std::uint64_t> delivered{0};
@@ -218,7 +218,7 @@ struct Fabric::Dataflow {
     std::atomic<std::uint64_t> backlog{0};
     std::atomic<std::uint64_t> lat_sum{0};
 
-    /// Zero the sums and open the slot for boundary `k` (-1 closes it).
+    /// Zero the sums and open the slot for grid index `k` (-1 closes it).
     void arm(Cycle k, unsigned nodes) {
       injected.store(0, std::memory_order_relaxed);
       delivered.store(0, std::memory_order_relaxed);
@@ -252,14 +252,12 @@ struct Fabric::Dataflow {
   std::vector<unsigned> placement;
   std::unique_ptr<Scheduler> scheduler;
 
-  // Current run window.
-  Cycle run_start = 0;
-  Cycle target = 0;
-  Cycle round = 1;         ///< Boundary spacing (= link_pipe_stages).
-  Cycle n_boundaries = 0;  ///< Of the current run; 0 with metrics off.
+  /// Grid index (cycle / D) of the run's last sample; with metrics off, the
+  /// index below its first, so no slot is armed.
+  Cycle last_sample = 0;
   std::vector<std::unique_ptr<FrameSlot>> frames;
-  /// Next boundary index whose sample may be published (orders the
-  /// registry's sample() calls exactly like the barrier's rounds).
+  /// Next grid index whose sample may be published (orders the registry's
+  /// sample() calls exactly like the barrier's rounds).
   std::atomic<Cycle> sample_turn{0};
 
   // Rebalancing (planned at run end, applied at next run start).
@@ -268,26 +266,6 @@ struct Fabric::Dataflow {
   std::uint64_t splits = 0;
   std::uint64_t merges = 0;
   std::vector<std::string> log;
-
-  /// Smallest boundary cycle > d of the current run.
-  Cycle next_boundary(Cycle d) const {
-    const Cycle len = target - run_start;
-    Cycle nb = ((d - run_start) / round + 1) * round;
-    if (nb > len) nb = len;
-    return run_start + nb;
-  }
-  bool is_boundary(Cycle c) const {
-    const Cycle rel = c - run_start;
-    return rel > 0 && (rel == target - run_start || rel % round == 0);
-  }
-  Cycle boundary_index(Cycle c) const {
-    const Cycle rel = c - run_start;
-    return rel % round == 0 ? rel / round - 1 : n_boundaries - 1;
-  }
-  Cycle boundary_cycle(Cycle index) const {
-    const Cycle len = target - run_start;
-    return run_start + std::min<Cycle>((index + 1) * round, len);
-  }
 };
 
 std::unique_ptr<Fabric> Fabric::build(const net::Topology& topo, const FabricConfig& cfg) {
@@ -617,9 +595,10 @@ void Fabric::run(Cycle cycles) {
     };
     Cycle done = start;
     while (done < target) {
-      const Cycle step = std::min<Cycle>(cfg_.link_pipe_stages, target - done);
+      // Rounds end on the gauge grid (multiples of D) or at the target.
+      const Cycle step = round_end(done) - done;
       const auto t0 = SteadyClock::now();
-      // Within a round a node reads only ring slots written in earlier
+      // Within a round a node pops only ring entries pushed in earlier
       // rounds, so the shard may run its nodes one after another.
       for (unsigned v : shard.node_ids) nodes_[v].engine.run(step);
       const auto t1 = SteadyClock::now();
@@ -654,16 +633,14 @@ void Fabric::run_dataflow(Cycle cycles) {
     df.pending_parts.clear();
     df.pending = false;
   }
-  df.run_start = cycles_run_;
-  df.target = cycles_run_ + cycles;
-  run_target_ = df.target;
-  df.round = cfg_.link_pipe_stages;
-  df.n_boundaries = metrics_ != nullptr ? (cycles + df.round - 1) / df.round : 0;
-  df.sample_turn.store(0, std::memory_order_relaxed);
-  for (std::size_t j = 0; j < df.frames.size(); ++j) {
-    const Cycle k = static_cast<Cycle>(j);
-    df.frames[j]->arm(k < df.n_boundaries ? k : -1, nodes());
-  }
+  run_target_ = cycles_run_ + cycles;
+  const Cycle grid = cfg_.link_pipe_stages;
+  const Cycle first = cycles_run_ / grid + 1;
+  df.last_sample = metrics_ != nullptr ? run_target_ / grid : first - 1;
+  df.sample_turn.store(first, std::memory_order_relaxed);
+  const auto rsize = static_cast<Cycle>(df.frames.size());
+  for (Cycle k = first; k < first + rsize; ++k)
+    df.frames[static_cast<std::size_t>(k % rsize)]->arm(k <= df.last_sample ? k : -1, nodes());
   for (auto& t : df.tasks)
     t->active_snapshot = t->active_ns.load(std::memory_order_relaxed);
 
@@ -672,25 +649,24 @@ void Fabric::run_dataflow(Cycle cycles) {
   for (auto& t : df.tasks) tasks.push_back(t.get());
   df.scheduler->run(pool(), tasks, df.wake_lists, df.placement);
 
-  cycles_run_ = df.target;
+  cycles_run_ = run_target_;
   for (const Node& nd : nodes_)
-    PMSB_CHECK(nd.done.load(std::memory_order_relaxed) == df.target,
+    PMSB_CHECK(nd.done.load(std::memory_order_relaxed) == run_target_,
                "dataflow node stopped short of the run target");
-  PMSB_CHECK(df.sample_turn.load(std::memory_order_relaxed) == df.n_boundaries,
+  PMSB_CHECK(df.sample_turn.load(std::memory_order_relaxed) == df.last_sample + 1,
              "dataflow run finished with unpublished samples");
   if (cfg_.rebalance) df_plan_rebalance();
 }
 
 Fabric::NodeAdvance Fabric::df_advance_node(unsigned v) {
-  Dataflow& df = *df_;
   Node& nd = nodes_[v];
-  const Cycle target = df.target;
+  const Cycle target = run_target_;
   const Cycle d = nd.engine.now();
   if (d >= target) return NodeAdvance::kNodeDone;
   const Cycle stages = cfg_.link_pipe_stages;
 
   // Input bound first: it is the tighter constraint under load, and its
-  // seq_cst loads double as the acquire of the upstreams' ring writes.
+  // seq_cst loads double as the acquire of the upstreams' ring pushes.
   Cycle limit = target;
   for (const Link& in : nd.ins) {
     const Cycle b = nodes_[in.from].done.load(std::memory_order_seq_cst) + stages;
@@ -703,9 +679,9 @@ Fabric::NodeAdvance Fabric::df_advance_node(unsigned v) {
   }
   if (limit <= d) return NodeAdvance::kCreditBlocked;
   if (metrics_ != nullptr) {
-    // Land on every round boundary so this node can contribute its sample
-    // share there (the barrier engine samples at exactly these cycles).
-    const Cycle nb = df.next_boundary(d);
+    // Land on every grid cycle so this node can contribute its sample share
+    // there (the barrier engine samples at exactly these cycles).
+    const Cycle nb = round_end(d);
     if (nb < limit) limit = nb;
   }
 
@@ -713,14 +689,15 @@ Fabric::NodeAdvance Fabric::df_advance_node(unsigned v) {
   if (idle_skip_on_ && nd.engine.can_skip()) {
     // Whole-chunk idle skip: every component quiescent through the chunk
     // (wake >= limit keeps the wake cycle itself stepped) and no flit
-    // arriving on any input during [d, limit) -- idle_at(d) bounds arrivals
-    // to cycles >= upstream_done >= limit - D, outside the window.
+    // arriving on any input during [d, limit). An empty input has delivered
+    // every entry pushed before the upstream progress loaded above, and any
+    // later push is stamped >= upstream_done >= limit - D, so it arrives at
+    // or after limit. Skipped cycles push nothing, so the outputs need no
+    // compensation.
     Cycle wake = kNeverWake;
     if (nd.engine.quiescent_at(d, &wake) && wake >= limit &&
         std::all_of(nd.ins.begin(), nd.ins.end(),
-                    [d](const Link& in) { return in.ring->idle_at(d); })) {
-      // Stand in for the suppressed per-cycle writes (Channel::clear_range).
-      for (const Link& out : nd.outs) out.ring->clear_range(d, limit);
+                    [](const Link& in) { return in.ring->empty(); })) {
       nd.engine.skip_to(limit);
       rounds_skipped_.fetch_add(1, std::memory_order_relaxed);
       stepped = false;
@@ -731,15 +708,14 @@ Fabric::NodeAdvance Fabric::df_advance_node(unsigned v) {
   // Publish progress: seq_cst store pairs with neighbors' bound loads (ring
   // visibility) and with the scheduler's block/recheck protocol.
   nd.done.store(limit, std::memory_order_seq_cst);
-  if (metrics_ != nullptr && df.is_boundary(limit))
-    df_contribute_sample(v, df.boundary_index(limit));
+  if (metrics_ != nullptr && limit % stages == 0) df_contribute_sample(v, limit / stages);
   return stepped ? NodeAdvance::kStepped : NodeAdvance::kSkipped;
 }
 
 bool Fabric::df_node_ready(unsigned v) const {
   const Node& nd = nodes_[v];
   const Cycle d = nd.done.load(std::memory_order_seq_cst);
-  if (d >= df_->target) return false;
+  if (d >= run_target_) return false;
   const Cycle stages = cfg_.link_pipe_stages;
   for (const Link& in : nd.ins)
     if (nodes_[in.from].done.load(std::memory_order_seq_cst) + stages <= d) return false;
@@ -752,9 +728,9 @@ void Fabric::df_contribute_sample(unsigned v, Cycle k) {
   Dataflow& df = *df_;
   const Cycle rsize = static_cast<Cycle>(df.frames.size());
   Dataflow::FrameSlot& slot = *df.frames[static_cast<std::size_t>(k % rsize)];
-  // The slot serving boundary k is re-armed by the completer of boundary
+  // The slot serving grid index k is re-armed by the completer of index
   // k - R. The skew bound (frame ring comment in build) guarantees that
-  // boundary has all contributions by now, so this wait only covers an
+  // index has all contributions by now, so this wait only covers an
   // in-flight completion call.
   while (slot.boundary.load(std::memory_order_acquire) != k) std::this_thread::yield();
   // This worker holds node v exactly at the boundary cycle, so these reads
@@ -762,12 +738,12 @@ void Fabric::df_contribute_sample(unsigned v, Cycle k) {
   slot.add(counts(v));
   if (slot.remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
 
-  // Last contributor publishes, strictly in boundary order (sample_turn is
-  // the baton; the registry's time series relies on monotonic sample calls).
+  // Last contributor publishes, strictly in grid order (sample_turn is the
+  // baton; the registry's time series relies on monotonic sample calls).
   while (df.sample_turn.load(std::memory_order_acquire) != k) std::this_thread::yield();
-  publish(slot.frame(), df.boundary_cycle(k));
-  // Re-arm this slot for boundary k + R before passing the baton.
-  slot.arm(k + rsize < df.n_boundaries ? k + rsize : -1, nodes());
+  publish(slot.frame(), k * static_cast<Cycle>(cfg_.link_pipe_stages));
+  // Re-arm this slot for index k + R before passing the baton.
+  slot.arm(k + rsize <= df.last_sample ? k + rsize : -1, nodes());
   df.sample_turn.store(k + 1, std::memory_order_release);
 }
 
@@ -835,8 +811,8 @@ void Fabric::df_plan_rebalance() {
 }
 
 void Fabric::end_of_round() {
-  cycles_run_ += std::min<Cycle>(cfg_.link_pipe_stages, run_target_ - cycles_run_);
-  if (metrics_) publish(totals(), cycles_run_);
+  cycles_run_ = round_end(cycles_run_);
+  if (metrics_ && cycles_run_ % cfg_.link_pipe_stages == 0) publish(totals(), cycles_run_);
   if (idle_skip_on_) maybe_skip();
 }
 
@@ -844,8 +820,8 @@ void Fabric::maybe_skip() {
   if (cycles_run_ >= run_target_) return;
   // Global quiescence: every component of every node idle (observers -- the
   // per-node invariant checkers -- pin a node to stepping), and every ring
-  // drained. Any failure means at least one cell is somewhere in flight,
-  // and the next round must be stepped.
+  // empty. Any failure means at least one cell is somewhere in flight, and
+  // the next round must be stepped.
   Cycle wake = kNeverWake;
   for (const Node& nd : nodes_) {
     Cycle w = kNeverWake;
@@ -853,25 +829,17 @@ void Fabric::maybe_skip() {
     if (w < wake) wake = w;
   }
   for (const auto& ring : rings_)
-    if (!ring->idle_at(cycles_run_)) return;
+    if (!ring->empty()) return;
   // Advance whole rounds while they end at or before the earliest wake
   // (components must execute the wake cycle itself), keeping the metrics
-  // cadence of stepped rounds.
-  bool skipped = false;
+  // cadence of stepped rounds. Skipped cycles push nothing onto the rings.
   while (cycles_run_ < run_target_) {
-    const Cycle nb =
-        cycles_run_ + std::min<Cycle>(cfg_.link_pipe_stages, run_target_ - cycles_run_);
+    const Cycle nb = round_end(cycles_run_);
     if (nb > wake) break;
     cycles_run_ = nb;
-    if (metrics_) publish(totals(), cycles_run_);
-    skipped = true;
+    if (metrics_ && nb % cfg_.link_pipe_stages == 0) publish(totals(), nb);
     rounds_skipped_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Skipping suppressed the producers' per-cycle ring writes; drop the stale
-  // entries so they cannot resurface after a jump past the ring size. All
-  // rings are empty here, so nothing live is lost.
-  if (skipped)
-    for (const auto& ring : rings_) ring->clear_for_skip();
 }
 
 Fabric::SampleFrame Fabric::counts(unsigned v) const {

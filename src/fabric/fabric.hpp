@@ -21,26 +21,28 @@
 //    `link_pipe_stages` (D >= 1) register stages, i.e. a word leaving a node
 //    cannot be observed anywhere else for at least D + 1 cycles. Each shard
 //    (a list of nodes) runs each of its nodes for a round of up to D cycles,
-//    then all shards meet at a SpinBarrier; every channel slot a node reads
-//    during round r was written in round r-1 or earlier, so no cross-node
-//    event can ever be missed. The barrier's last arriver samples the
-//    metrics gauges.
+//    then all shards meet at a SpinBarrier; every channel entry a node pops
+//    during round r was pushed in round r-1 or earlier, so no cross-node
+//    event can ever be missed. Rounds end on multiples of D (the gauge
+//    grid) or at the run target; the barrier's last arriver samples the
+//    metrics gauges on the grid.
 //
 //  * kDataflow -- credit-backpressured tasks: nodes are grouped into
 //    SchedTasks run by a work-stealing Scheduler. A node whose neighbors
 //    have executed through cycle u may run to u + D (its inputs for those
-//    cycles are already in the channel rings) and to
+//    cycles are already in the channel queues) and to
 //    consumer_done + capacity - D on the output side (write credit); a task
 //    blocks only when every owned node hits one of those bounds, and is
 //    woken by the neighbor that moves it. Slow nodes no longer stall the
 //    whole fabric -- only their neighborhood, transitively. Metric samples
-//    are assembled per round boundary from per-node contributions (each
-//    node passes every boundary exactly once), reproducing the barrier's
+//    are assembled per grid cycle from per-node contributions (each node
+//    passes every grid cycle exactly once), reproducing the barrier's
 //    sampling cadence and values bit-exactly. See DESIGN.md "Task-dataflow
 //    fabric" for the correctness argument.
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -279,9 +281,11 @@ class Fabric {
   }
 
   /// Register live gauges (fabric.injected/delivered/dropped/backlog/
-  /// in_network/latency.mean) on `m` and sample them at every round
-  /// boundary of subsequent run() calls -- same cadence and values under
-  /// both engines. Call before run(); `m` must outlive the fabric's runs.
+  /// in_network/latency.mean) on `m` and sample them at every multiple of
+  /// D that subsequent run() calls reach -- an absolute grid, so a run split
+  /// into several calls samples exactly what one call does, under either
+  /// engine. A call ending off the grid does not sample its last cycle.
+  /// Call before run(); `m` must outlive the fabric's runs.
   void register_metrics(obs::MetricsRegistry* m);
 
   /// Advance the whole fabric by `cycles`. Callable repeatedly.
@@ -400,13 +404,19 @@ class Fabric {
   std::vector<std::vector<unsigned>> node_blocks(unsigned parts) const;
   /// The worker pool, built on first use.
   exp::ThreadPool& pool();
+  /// End of the round holding cycle c: the next multiple of D above c (the
+  /// gauge grid), or the run target if that comes first.
+  Cycle round_end(Cycle c) const {
+    const Cycle d = cfg_.link_pipe_stages;
+    return std::min((c / d + 1) * d, run_target_);
+  }
   void end_of_round();
   /// Round-granularity idle skip, run inside the barrier completion while
   /// every worker is parked: if all nodes are quiescent and all rings
-  /// empty, advance cycles_run_ by whole rounds (sampling metrics at each
-  /// boundary exactly as stepped rounds would) up to the earliest scheduled
-  /// injection, then clear the rings. Workers notice the jump after the
-  /// barrier and skip_to() their nodes' engines.
+  /// empty, advance cycles_run_ by whole rounds (sampling metrics on the
+  /// grid exactly as stepped rounds would) up to the earliest scheduled
+  /// injection. Workers notice the jump after the barrier and skip_to()
+  /// their nodes' engines.
   void maybe_skip();
   SampleFrame counts(unsigned v) const;
   SampleFrame totals() const;
@@ -428,7 +438,7 @@ class Fabric {
   void run_dataflow(Cycle cycles);
   NodeAdvance df_advance_node(unsigned v);
   bool df_node_ready(unsigned v) const;
-  void df_contribute_sample(unsigned v, Cycle boundary_index);
+  void df_contribute_sample(unsigned v, Cycle grid_index);
   /// Recompute the task partition from the last run's per-task active_ns
   /// (split hot, merge cold); applied lazily at the next run's start.
   void df_plan_rebalance();

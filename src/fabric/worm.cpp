@@ -62,13 +62,13 @@ WormRouter::WormRouter(const net::Topology* topo, unsigned node, const WormParam
                                                     params_.lane_depth, params_.message_flits);
 }
 
-void WormRouter::connect_in(unsigned in_port, const WormChannel* rx, CreditChannel* credit_tx) {
+void WormRouter::connect_in(unsigned in_port, WormChannel* rx, CreditChannel* credit_tx) {
   PMSB_CHECK(in_port < ports_ && rx_[in_port] == nullptr, "worm input already wired");
   rx_[in_port] = rx;
   credit_tx_[in_port] = credit_tx;
 }
 
-void WormRouter::connect_out(unsigned out_port, WormChannel* tx, const CreditChannel* credit_rx) {
+void WormRouter::connect_out(unsigned out_port, WormChannel* tx, CreditChannel* credit_rx) {
   PMSB_CHECK(out_port < ports_ && tx_[out_port] == nullptr, "worm output already wired");
   tx_[out_port] = tx;
   credit_rx_[out_port] = credit_rx;
@@ -169,7 +169,6 @@ void WormRouter::source_step(Source& s, Cycle t) {
   const auto l = static_cast<unsigned>(won);
   Source::Worm& w = s.worms[l];
   WormFlit f;
-  f.valid = true;
   f.head = w.seq == 0;
   f.tail = w.seq + 1 == params_.message_flits;
   f.lane = static_cast<std::uint8_t>(l);
@@ -230,36 +229,33 @@ void WormRouter::arbitrate(unsigned out, Cycle t) {
     return (egress || ol.credits != 0) && fifo_[li(ol.in, ol.in_lane)].len != 0 &&
            (popped_[ol.in] >> ol.in_lane & 1u) == 0;
   });
-  WormFlit sent;  // invalid unless a lane wins
-  if (won >= 0) {
-    const auto l = static_cast<unsigned>(won);
-    OutLane& ol = lanes[l];
-    const std::size_t src = li(ol.in, ol.in_lane);
-    LaneFifo& q = fifo_[src];
-    WormFlit f = slots_[src * params_.lane_depth + q.head];
-    q.head = q.head + 1 == params_.lane_depth ? 0 : q.head + 1;
-    --q.len;
-    --held_;
-    popped_[ol.in] |= 1u << ol.in_lane;
-    f.lane = static_cast<std::uint8_t>(l);
-    if (!egress) --ol.credits;
-    if (f.tail) {
-      // Unbind; the next message's head, if queued, now competes for
-      // allocation at later outputs this very cycle.
-      owned_[out] &= ~(1u << l);
-      bound_[ol.in] &= ~(1u << ol.in_lane);
-      expose(ol.in, ol.in_lane);
-    }
-    rr_sw_[out] = next_lane(l);
-    ++flits_out_total_;
-    if (egress) {
-      deliver(*sinks_[out], f, t);
-    } else {
-      sent = f;
-      ++flits_forwarded_;
-    }
+  if (won < 0) return;
+  const auto l = static_cast<unsigned>(won);
+  OutLane& ol = lanes[l];
+  const std::size_t src = li(ol.in, ol.in_lane);
+  LaneFifo& q = fifo_[src];
+  WormFlit f = slots_[src * params_.lane_depth + q.head];
+  q.head = q.head + 1 == params_.lane_depth ? 0 : q.head + 1;
+  --q.len;
+  --held_;
+  popped_[ol.in] |= 1u << ol.in_lane;
+  f.lane = static_cast<std::uint8_t>(l);
+  if (!egress) --ol.credits;
+  if (f.tail) {
+    // Unbind; the next message's head, if queued, now competes for
+    // allocation at later outputs this very cycle.
+    owned_[out] &= ~(1u << l);
+    bound_[ol.in] &= ~(1u << ol.in_lane);
+    expose(ol.in, ol.in_lane);
   }
-  if (!egress) tx_[out]->write(t, sent);
+  rr_sw_[out] = next_lane(l);
+  ++flits_out_total_;
+  if (egress) {
+    deliver(*sinks_[out], f, t);
+  } else {
+    tx_[out]->push(t, f);
+    ++flits_forwarded_;
+  }
 }
 
 void WormRouter::deliver(Sink& sink, const WormFlit& f, Cycle t) {
@@ -292,15 +288,14 @@ void WormRouter::eval(Cycle t) {
   // 1. Accept at most one flit per link input.
   for (unsigned in = 0; in < ports_; ++in) {
     if (rx_[in] == nullptr) continue;
-    const WormFlit& f = rx_[in]->read(t);
-    if (f.valid) push_flit(in, f);
+    if (const WormFlit* f = rx_[in]->pop(t)) push_flit(in, *f);
   }
   // 2. Consume returned credits.
   for (unsigned out = 0; out < ports_; ++out) {
     if (credit_rx_[out] == nullptr) continue;
-    const CreditPulse& p = credit_rx_[out]->read(t);
-    if (!p.valid) continue;
-    for (std::uint32_t m = p.mask & lane_mask_; m != 0; m &= m - 1) {
+    const std::uint32_t* credits = credit_rx_[out]->pop(t);
+    if (credits == nullptr) continue;
+    for (std::uint32_t m = *credits & lane_mask_; m != 0; m &= m - 1) {
       const auto l = static_cast<unsigned>(std::countr_zero(m));
       OutLane& ol = out_lane_[li(out, l)];
       ++ol.credits;
@@ -311,22 +306,26 @@ void WormRouter::eval(Cycle t) {
   // 3. Inject (ingress routers only): arrivals plus one streamed flit per source.
   for (unsigned in = 0; in < ports_; ++in)
     if (sources_[in] != nullptr) source_step(*sources_[in], t);
-  // 4. Per output: one VC allocation, then one switch grant; the tx ring is
-  // written every cycle (invalid when no lane wins), like the cell fabrics'
-  // TxTap, so skipped stretches are compensated by ring clears alone.
+  // 4. Per output: one VC allocation, then one switch grant; a flit goes
+  // onto the tx channel only when a lane wins.
   for (unsigned out = 0; out < ports_; ++out) {
     alloc_lane(out);
     arbitrate(out, t);
   }
-  // 5. Return credits upstream, one aggregated pulse per input per cycle:
-  // the lanes popped this cycle.
+  // 5. Return credits upstream: one entry per input that popped this cycle,
+  // the mask of its popped lanes.
   for (unsigned in = 0; in < ports_; ++in) {
-    if (credit_tx_[in] != nullptr)
-      credit_tx_[in]->write(t, CreditPulse{popped_[in] != 0, popped_[in]});
+    if (popped_[in] != 0 && credit_tx_[in] != nullptr) credit_tx_[in]->push(t, popped_[in]);
     popped_[in] = 0;
   }
-  if (auditor_ != nullptr)
-    auditor_->on_cycle_end(flits_in_total_, flits_out_total_, flits_held());
+  if (auditor_ != nullptr) {
+    // Count the flits the lane FIFOs hold, independently of held_, so a flit
+    // lost inside a FIFO breaks conservation.
+    std::uint64_t queued = 0;
+    for (const LaneFifo& q : fifo_) queued += q.len;
+    PMSB_CHECK(held_ == queued, "worm router held count drifted from its lane FIFOs");
+    auditor_->on_cycle_end(flits_in_total_, flits_out_total_, queued);
+  }
 }
 
 bool WormRouter::is_quiescent(Cycle) const {

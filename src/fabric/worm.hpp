@@ -1,8 +1,8 @@
 // Flit-level wormhole transport for the 2D mesh and the multistage fabrics
 // (banyan / omega / Clos): one WormRouter per mesh node or switching
-// element, connected by the same channel rings the cell fabrics use -- a
-// Ring<WormFlit> per link in the forward direction and a Ring<CreditPulse>
-// per link in the *reverse* direction.
+// element, connected by the same channel queues the cell fabrics use -- a
+// Ring<WormFlit> per link in the forward direction and a credit Ring of lane
+// masks per link in the *reverse* direction.
 //
 // Transport model (the classic virtual-channel wormhole router [Dally90]):
 //
@@ -80,7 +80,6 @@ namespace pmsb::fabric {
 /// endpoint; `msg`/`seq` identify the flit within its message; `created` is
 /// the message's arrival cycle at the source (for end-to-end latency).
 struct WormFlit {
-  bool valid = false;
   bool head = false;
   bool tail = false;
   std::uint8_t lane = 0;
@@ -91,17 +90,12 @@ struct WormFlit {
   Word data = 0;
 };
 
-/// Reverse-direction credit return: bit l set = one credit for lane l of the
-/// paired forward link. One pulse aggregates every lane the downstream
-/// router popped from this cycle (a lane pops at most one flit per cycle,
-/// so one bit per lane suffices).
-struct CreditPulse {
-  bool valid = false;
-  std::uint32_t mask = 0;
-};
-
 using WormChannel = Ring<WormFlit>;
-using CreditChannel = Ring<CreditPulse>;
+/// Reverse-direction credit return: bit l set = one credit for lane l of the
+/// paired forward link. One entry aggregates every lane the downstream
+/// router popped from in a cycle (a lane pops at most one flit per cycle,
+/// so one bit per lane suffices); a cycle with no pop sends none.
+using CreditChannel = Ring<std::uint32_t>;
 
 /// Lane selection policy for VC allocation (and the switch arbiter).
 enum class WormAlloc {
@@ -131,9 +125,9 @@ class WormRouter : public Component {
 
   // --- Wiring (fabric build time) ----------------------------------------
   /// Link input: flits arrive on `rx`, credits return on `credit_tx`.
-  void connect_in(unsigned in_port, const WormChannel* rx, CreditChannel* credit_tx);
+  void connect_in(unsigned in_port, WormChannel* rx, CreditChannel* credit_tx);
   /// Link output: flits leave on `tx`, credits arrive on `credit_rx`.
-  void connect_out(unsigned out_port, WormChannel* tx, const CreditChannel* credit_rx);
+  void connect_out(unsigned out_port, WormChannel* tx, CreditChannel* credit_rx);
   /// Ingress (kLocal on a mesh, a first-stage input otherwise): endpoint
   /// `endpoint` injects into `in_port`.
   void add_source(unsigned in_port, unsigned endpoint, Rng rng);
@@ -145,8 +139,8 @@ class WormRouter : public Component {
   void commit(Cycle) override {}
   bool has_commit() const override { return false; }
   /// Quiescent when nothing is buffered, streaming, or bound. In-flight
-  /// flits/credits live in the rings, which the fabric's skip planners check
-  /// separately (Channel idle_at), exactly as for the cell fabrics.
+  /// flits/credits live in the channels, which the fabric's skip planners
+  /// check separately (ChannelBase::empty), exactly as for the cell fabrics.
   bool is_quiescent(Cycle t) const override;
   Cycle next_wake(Cycle t) const override;
   std::string name() const override;
@@ -268,10 +262,10 @@ class WormRouter : public Component {
   bool direct_;      ///< Direct kind (mesh): endpoint on port kLocal.
   bool last_stage_;
 
-  std::vector<const WormChannel*> rx_;      ///< [in_port], null at ingress.
-  std::vector<CreditChannel*> credit_tx_;   ///< [in_port], null at ingress.
-  std::vector<WormChannel*> tx_;            ///< [out_port], null at egress.
-  std::vector<const CreditChannel*> credit_rx_;  ///< [out_port], null at egress.
+  std::vector<WormChannel*> rx_;           ///< [in_port], null at ingress.
+  std::vector<CreditChannel*> credit_tx_;  ///< [in_port], null at ingress.
+  std::vector<WormChannel*> tx_;           ///< [out_port], null at egress.
+  std::vector<CreditChannel*> credit_rx_;  ///< [out_port], null at egress.
 
   std::uint32_t lane_mask_ = 0;        ///< Bits 0..lanes-1.
   std::vector<WormFlit> slots_;        ///< [li(in, lane) * lane_depth + slot]
@@ -288,7 +282,7 @@ class WormRouter : public Component {
   std::vector<unsigned> rr_sw_;     ///< Per-output switch-arbiter scan start.
 
   /// [in] lanes popped during the current eval, which is also the credit
-  /// pulse sent upstream at its end. It blocks a second pop from the same
+  /// mask sent upstream at its end. It blocks a second pop from the same
   /// lane (one flit per lane per cycle) and keeps the credit mask exact --
   /// without it, a tail popped at one output and the next message's head
   /// popped at another output in the same cycle would merge into a single

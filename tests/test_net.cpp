@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "fabric/fabric.hpp"
 #include "fabric/worm.hpp"
@@ -142,22 +143,22 @@ TEST(Topology, DescribeAndRequiredPorts) {
 // ---------------------------------------------------------------------------
 
 using fabric::CreditChannel;
-using fabric::CreditPulse;
 using fabric::WormChannel;
 using fabric::WormFlit;
 
 /// The centre router (node 4) of a 3x3 mesh with all four links wired to
 /// rings the test drives directly: flits go in on in[p], come out on out[p],
 /// and the router's credit returns / the test's credit grants travel on
-/// credit_up[p] / credit_down[p]. Every ring is rewritten every cycle, as
-/// the fabric's neighbours do. With `echo` set, the downstream side returns
-/// a credit the cycle after each flit it receives (it never backs up).
+/// credit_up[p] / credit_down[p]. A ring gets an entry only in a cycle that
+/// sends something, as the fabric's neighbours do. With `echo` set, the
+/// downstream side returns a credit the cycle after each flit it receives
+/// (it never backs up).
 struct CentreRouter {
   Topology topo{TopologyKind::kMesh2D, 3, 3};
   std::unique_ptr<fabric::WormRouter> r;
   std::vector<std::unique_ptr<WormChannel>> in, out;
   std::vector<std::unique_ptr<CreditChannel>> credit_up, credit_down;
-  std::vector<WormFlit> feed;          ///< [port] flit to put on in[p] this cycle.
+  std::vector<std::optional<WormFlit>> feed;  ///< [port] flit to put on in[p] this cycle.
   std::vector<std::uint32_t> grant;    ///< [port] credit mask for out[p] this cycle.
   std::vector<std::vector<WormFlit>> sent;  ///< [port] flits the router emitted.
   bool echo = true;
@@ -183,7 +184,6 @@ struct CentreRouter {
   static WormFlit flit(std::uint64_t msg, std::uint32_t seq, unsigned len, unsigned dest,
                        unsigned lane = 0) {
     WormFlit f;
-    f.valid = true;
     f.head = seq == 0;
     f.tail = seq + 1 == len;
     f.lane = static_cast<std::uint8_t>(lane);
@@ -197,18 +197,18 @@ struct CentreRouter {
   /// Drive this cycle's feeds and grants, run the router, record its output.
   void step() {
     for (unsigned p = 0; p < 4; ++p) {
-      in[p]->write(t, feed[p]);
-      credit_down[p]->write(t, CreditPulse{grant[p] != 0, grant[p]});
-      feed[p] = WormFlit{};
+      if (feed[p]) in[p]->push(t, *feed[p]);
+      if (grant[p] != 0) credit_down[p]->push(t, grant[p]);
+      feed[p].reset();
       grant[p] = 0;
     }
-    ++t;  // What was written at t - 1 is visible now (ring delay 1).
+    ++t;  // What was pushed at t - 1 arrives now (ring delay 1).
     r->eval(t);
     for (unsigned p = 0; p < 4; ++p) {
-      const WormFlit& f = out[p]->read(t + 1);
-      if (!f.valid) continue;
-      sent[p].push_back(f);
-      if (echo) grant[p] |= 1u << f.lane;
+      const WormFlit* f = out[p]->pop(t + 1);
+      if (f == nullptr) continue;
+      sent[p].push_back(*f);
+      if (echo) grant[p] |= 1u << f->lane;
     }
   }
 };
@@ -323,17 +323,17 @@ TEST(Router, LaneDepthOneStreamsUnderCredits) {
   std::uint32_t next_seq[2] = {0, 0};
   unsigned returned = 0;
   for (int i = 0; i < 40; ++i) {
-    for (unsigned lane = 0; lane < 2 && !c.feed[kWest].valid; ++lane) {
+    for (unsigned lane = 0; lane < 2 && !c.feed[kWest]; ++lane) {
       if (credits[lane] == 0 || next_seq[lane] == 3) continue;
       c.feed[kWest] = CentreRouter::flit(10 + lane, next_seq[lane]++, 3, 5, lane);
       --credits[lane];
     }
     c.step();
     EXPECT_LE(c.r->flits_held(), 2u);
-    const CreditPulse& p = c.credit_up[kWest]->read(c.t + 1);
-    if (!p.valid) continue;
+    const std::uint32_t* mask = c.credit_up[kWest]->pop(c.t + 1);
+    if (mask == nullptr) continue;
     for (unsigned lane = 0; lane < 2; ++lane) {
-      if ((p.mask >> lane & 1u) == 0) continue;
+      if ((*mask >> lane & 1u) == 0) continue;
       ++credits[lane];
       ++returned;
     }
